@@ -76,9 +76,6 @@ from .optimizer import (
 from .unimodular import (
     EnumerationStats,
     count_slk,
-    enumerate_sl_neg_k,
-    enumerate_slk,
-    enumerate_slk_naive,
     integer_inverse,
     materialize_slk,
 )

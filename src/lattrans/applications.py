@@ -276,6 +276,21 @@ def _bct_ground_distance(a_scale: float, c_scale: float, r: float) -> float:
     return math.sqrt(2.0 * (planar - 1.0) ** 2 + (axial - 1.0) ** 2)
 
 
+def _margin(excited: float, r: float, lam: float, ref, target) -> float:
+    """Perturbation certificate margin against a reference problem.
+
+    ``excited`` bounds the reference's first excited level from below;
+    moving from ``ref`` to ``target`` at volume scale ``lam`` shifts any
+    radius-1 distance by at most lam * factor * |ref - target|_F for
+    r = 1, and by lam^2 * factor^2 * |ref^T ref - target^T target|_F for
+    r = 2, with factor = ``sl1_transform_norm_max()``.
+    """
+    factor = sl1_transform_norm_max()
+    if r == 1.0:
+        return excited - lam * factor * frobenius(ref - target)
+    return excited - lam**2 * factor**2 * frobenius(ref.T @ ref - target.T @ target)
+
+
 def bct_ground_spectrum(a_scale: float, c_scale: float) -> tuple:
     return (
         2.0 ** (1.0 / 6.0) * a_scale,
@@ -345,19 +360,12 @@ def bct_stability_flags(a_scale: float, c_scale: float,
     """
     A, C = float(a_scale), float(c_scale)
     hypothesis = C >= A > 0.75
-    factor = sl1_transform_norm_max()
-
-    b = _BCC
     bac = bct_basis(A, C)
     m0_1 = _bct_ground_distance(A, C, 1.0)
     m0_2 = _bct_ground_distance(A, C, 2.0)
 
-    d1_sl1 = bain_excited_distance(StrainMetric(1.0)) - factor * frobenius(bac - b) >= m0_1
-    d2_sl1 = (
-        bain_excited_distance(StrainMetric(2.0))
-        - factor**2 * frobenius(bac.T @ bac - b.T @ b)
-        >= m0_2
-    )
+    d1_sl1 = _margin(bain_excited_distance(StrainMetric(1.0)), 1.0, 1.0, bac, _BCC) >= m0_1
+    d2_sl1 = _margin(bain_excited_distance(StrainMetric(2.0)), 2.0, 1.0, bac, _BCC) >= m0_2
     d1_outside = 2.0 ** (2.0 / 3.0) * A - 1.0 > m0_1
     d2_outside = 2.0 ** (4.0 / 3.0) * A - 1.0 > m0_2
 
@@ -366,16 +374,12 @@ def bct_stability_flags(a_scale: float, c_scale: float,
         scaled = bct_basis(A / lam, C / lam)
         lo1, hi1 = BAIN_EXCITED_VALIDITY[1.0]
         if lo1 < lam < hi1 and not ext1:
-            margin = bain_excited_distance(StrainMetric(1.0), lam) - lam * factor * frobenius(
-                b - scaled
-            )
-            ext1 = margin >= m0_1
+            excited = bain_excited_distance(StrainMetric(1.0), lam)
+            ext1 = _margin(excited, 1.0, lam, _BCC, scaled) >= m0_1
         lo2, hi2 = BAIN_EXCITED_VALIDITY[2.0]
         if lo2 < lam < hi2 and not ext2:
-            margin = bain_excited_distance(StrainMetric(2.0), lam) - lam**2 * factor**2 * frobenius(
-                b.T @ b - scaled.T @ scaled
-            )
-            ext2 = margin >= m0_2
+            excited = bain_excited_distance(StrainMetric(2.0), lam)
+            ext2 = _margin(excited, 2.0, lam, _BCC, scaled) >= m0_2
     return BctFlags(
         a_scale=A,
         c_scale=C,
@@ -469,30 +473,20 @@ def bct_region_scan(a_range: tuple = (0.7, 1.8), c_range: tuple = (0.7, 1.8),
 
 def _excited_lower_bound(cell: BctFlags, r: float) -> float:
     """Best lower bound on the first excited level of a certified cell."""
-    factor = sl1_transform_norm_max()
     A, C = cell.a_scale, cell.c_scale
-    b = _BCC
     best = -math.inf
     lo, hi = BAIN_EXCITED_VALIDITY[r]
     for lam in _EXTENDED_ANCHORS + (0.995 * math.sqrt(A * C),):
         if not lo < lam < hi:
             continue
         scaled = bct_basis(A / lam, C / lam)
-        if r == 1.0:
-            margin = bain_excited_distance(StrainMetric(1.0), lam) - lam * factor * frobenius(
-                b - scaled
-            )
-        else:
-            margin = bain_excited_distance(StrainMetric(2.0), lam) - lam**2 * factor**2 * frobenius(
-                b.T @ b - scaled.T @ scaled
-            )
-        best = max(best, margin)
+        excited = bain_excited_distance(StrainMetric(r), lam)
+        best = max(best, _margin(excited, r, lam, _BCC, scaled))
     return best
 
 
 def _refine_extended(cells: list) -> list:
     """One pass of re-anchoring uncertified cells on certified ones."""
-    factor = sl1_transform_norm_max()
     anchors1 = [c for c in cells if c.certified_d1][:: max(1, len(cells) // 512)]
     anchors2 = [c for c in cells if c.certified_d2][:: max(1, len(cells) // 512)]
     out = []
@@ -507,18 +501,14 @@ def _refine_extended(cells: list) -> list:
             m0 = _bct_ground_distance(A, C, 1.0)
             for anchor in anchors1:
                 ref = bct_basis(anchor.a_scale, anchor.c_scale)
-                lower = _excited_lower_bound(anchor, 1.0) - factor * frobenius(bac - ref)
-                if lower >= m0:
+                if _margin(_excited_lower_bound(anchor, 1.0), 1.0, 1.0, bac, ref) >= m0:
                     ext1 = True
                     break
         if not ext2 and cell.d2_outside:
             m0 = _bct_ground_distance(A, C, 2.0)
             for anchor in anchors2:
                 ref = bct_basis(anchor.a_scale, anchor.c_scale)
-                lower = _excited_lower_bound(anchor, 2.0) - factor**2 * frobenius(
-                    bac.T @ bac - ref.T @ ref
-                )
-                if lower >= m0:
+                if _margin(_excited_lower_bound(anchor, 2.0), 2.0, 1.0, bac, ref) >= m0:
                     ext2 = True
                     break
         if ext1 != cell.extended_d1 or ext2 != cell.extended_d2:

@@ -304,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads (default: available parallelism)")
         p.add_argument("--format", choices=("human", "structured"), default="human")
         p.add_argument("--out", default=None, help="write output to this path")
         p.add_argument("--guard", type=int, default=DEFAULT_GUARD, help=argparse.SUPPRESS)
@@ -321,6 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="exit 4 when ground and excited levels tie")
     p_solve.add_argument("--fix-handedness", action="store_true",
                          help="relabel left-handed bases instead of refusing them")
+    p_solve.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                         help="worker threads (default: available parallelism)")
     common(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 

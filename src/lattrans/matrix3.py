@@ -1,9 +1,10 @@
 """Fixed-size 3x3 real linear algebra.
 
-Self-contained kernels for the matrices this package manipulates:
-determinants, inverses, the three matrix norms used by the search bounds,
-a cyclic-Jacobi symmetric eigensolver, singular values, fractional powers
-of symmetric positive-definite matrices, and polar stretch factors.
+Kernels for the matrices this package manipulates: determinants,
+inverses, the three matrix norms used by the search bounds, symmetric
+eigendecompositions, singular values, fractional powers of symmetric
+positive-definite matrices, and polar stretch factors.  Spectra come from
+LAPACK through numpy (``eigh`` and ``svd``).
 
 General matrices are plain ``numpy.ndarray`` objects of shape ``(3, 3)``;
 ``Matrix3`` is an alias used in signatures for readability.  Symmetric
@@ -28,9 +29,10 @@ Matrix3 = np.ndarray
 #: |det M| <= DET_REL_TOL * |M|_F**3 counts as singular (scale invariant).
 DET_REL_TOL = 1e-12
 
-#: Jacobi sweeps stop once the off-diagonal Frobenius mass is below
-#: JACOBI_REL_TOL * |S|_F.
-JACOBI_REL_TOL = 1e-14
+#: A symmetric matrix whose off-diagonal Frobenius mass is at most
+#: DIAGONAL_REL_TOL * |S|_F counts as diagonal: its eigenvalues are its
+#: diagonal entries exactly, so structural zeros survive round trips.
+DIAGONAL_REL_TOL = 1e-14
 
 #: Relative eigenvalue floor for positive definiteness.
 SPD_REL_TOL = 1e-14
@@ -152,52 +154,21 @@ class MatrixNorms(NamedTuple):
     col_max: float
 
 
-def _jacobi_eigh(s: np.ndarray):
-    """Cyclic Jacobi eigensolver for a symmetric 3x3 matrix.
+def _eigh(s: np.ndarray):
+    """Eigenpairs of a symmetric 3x3 matrix, eigenvalues descending.
 
-    Returns (eigenvalues descending, V) with s = V diag(w) V^T and V
-    orthogonal.  Operates on plain floats; fast enough to be called in
-    tight scalar loops.
+    Returns (w, V) with s = V diag(w) V^T and V orthogonal.  A matrix
+    that is diagonal to within DIAGONAL_REL_TOL yields its sorted
+    diagonal and a permutation of the identity; any other goes to
+    LAPACK.
     """
-    a = [
-        [float(s[0, 0]), float(s[0, 1]), float(s[0, 2])],
-        [float(s[0, 1]), float(s[1, 1]), float(s[1, 2])],
-        [float(s[0, 2]), float(s[1, 2]), float(s[2, 2])],
-    ]
-    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    for _ in range(50):
-        off = math.sqrt(2.0 * (a[0][1] ** 2 + a[0][2] ** 2 + a[1][2] ** 2))
-        norm = math.sqrt(
-            a[0][0] ** 2 + a[1][1] ** 2 + a[2][2] ** 2 + off * off
-        )
-        if off <= JACOBI_REL_TOL * norm or off == 0.0:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = a[p][q]
-            if apq == 0.0:
-                continue
-            theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-            t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-            if theta < 0.0:
-                t = -t
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            sn = t * c
-            app, aqq = a[p][p], a[q][q]
-            a[p][p] = app - t * apq
-            a[q][q] = aqq + t * apq
-            a[p][q] = a[q][p] = 0.0
-            r = 3 - p - q
-            arp, arq = a[r][p], a[r][q]
-            a[r][p] = a[p][r] = c * arp - sn * arq
-            a[r][q] = a[q][r] = sn * arp + c * arq
-            for i in range(3):
-                vip, viq = v[i][p], v[i][q]
-                v[i][p] = c * vip - sn * viq
-                v[i][q] = sn * vip + c * viq
-    order = sorted(range(3), key=lambda i: -a[i][i])
-    w = np.array([a[i][i] for i in order])
-    vec = np.array([[v[r][i] for i in order] for r in range(3)])
-    return w, vec
+    diag = np.diag(s)
+    off = math.sqrt(2.0 * (s[0, 1] ** 2 + s[0, 2] ** 2 + s[1, 2] ** 2))
+    if off <= DIAGONAL_REL_TOL * math.sqrt(float((diag * diag).sum()) + off * off):
+        order = np.argsort(-diag, kind="stable")
+        return diag[order], np.eye(3)[:, order]
+    w, v = np.linalg.eigh(s)
+    return w[::-1], v[:, ::-1]
 
 
 def _sym_array(s) -> np.ndarray:
@@ -214,23 +185,21 @@ def sym_eigen(s):
     With repeated eigenvalues any orthonormal basis of the eigenspace may
     be returned; compare reconstructions, not eigenvectors.
     """
-    return _jacobi_eigh(_sym_array(s))
+    return _eigh(_sym_array(s))
 
 
 def singular_values(m) -> SingularTriple:
-    """Principal stretches: square roots of the eigenvalues of M^T M."""
+    """Principal stretches: the singular values of M, descending."""
     a = as_matrix3(m)
     _require_invertible(a)
-    w, _ = _jacobi_eigh(a.T @ a)
-    w = np.sqrt(np.maximum(w, 0.0))
+    w = np.linalg.svd(a, compute_uv=False)
     return SingularTriple(float(w[0]), float(w[1]), float(w[2]))
 
 
 def norms(m) -> MatrixNorms:
     """The Frobenius, spectral and column-max norms of a matrix."""
     a = as_matrix3(m)
-    w, _ = _jacobi_eigh(a.T @ a)
-    spectral = math.sqrt(max(float(w[0]), 0.0))
+    spectral = float(np.linalg.svd(a, compute_uv=False)[0])
     col = float(np.sqrt((a * a).sum(axis=0)).max())
     return MatrixNorms(frobenius(a), spectral, col)
 
@@ -238,7 +207,7 @@ def norms(m) -> MatrixNorms:
 def spd_power(s, p: float) -> SymMatrix3:
     """Fractional power of a symmetric positive-definite matrix."""
     a = _sym_array(s)
-    w, v = _jacobi_eigh(a)
+    w, v = _eigh(a)
     if w[0] <= 0.0 or w[2] <= SPD_REL_TOL * w[0]:
         raise NotPositiveDefinite(
             f"eigenvalues {tuple(w)} are not strictly positive"

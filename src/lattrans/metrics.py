@@ -23,14 +23,7 @@ import math
 import numpy as np
 
 from .errors import ZeroVector
-from .matrix3 import (
-    SymMatrix3,
-    _require_invertible,
-    as_matrix3,
-    frobenius,
-    singular_values,
-    spd_power,
-)
+from .matrix3 import _require_invertible, as_matrix3, singular_values
 
 #: Two distances tie when |d1 - d2| <= TIE_REL_TOL * (1 + m_min).  Exact
 #: degeneracies land within machine epsilon of each other while genuine
@@ -59,10 +52,7 @@ def distance(f, g, metric: StrainMetric) -> float:
     g = as_matrix3(g)
     _require_invertible(f)
     _require_invertible(g)
-    p = metric.r / 2.0
-    pf = spd_power(SymMatrix3.from_array(f.T @ f), p).array
-    pg = spd_power(SymMatrix3.from_array(g.T @ g), p).array
-    return frobenius(pf - pg)
+    return float(distance_many(f[None], g[None], metric)[0])
 
 
 def distance_to_identity(h, metric: StrainMetric) -> float:
@@ -79,9 +69,9 @@ def distance_to_identity(h, metric: StrainMetric) -> float:
 def distance_to_identity_many(hs: np.ndarray, metric: StrainMetric) -> np.ndarray:
     """Bulk identity distances for a stack of transformations (n, 3, 3).
 
-    Batched LAPACK path used by the exhaustive search; the scalar path
-    above uses the package's own Jacobi kernel and the two agree to
-    1e-12.
+    Batched ``eigvalsh`` of H^T H, used by the exhaustive search; the
+    scalar path above takes an SVD of H itself, a different LAPACK
+    routine, and the two agree to 1e-12.
     """
     h = np.asarray(hs, dtype=float)
     gram = np.einsum("nji,njk->nik", h, h)

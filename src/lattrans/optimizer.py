@@ -33,7 +33,17 @@ import numpy as np
 
 from .errors import BudgetExceeded, NotRightHanded, SingularMatrix
 from .lattice import cubic_point_group
-from .matrix3 import SymMatrix3, as_matrix3, det, frobenius, inverse, norms, singular_values, spd_power
+from .matrix3 import (
+    SymMatrix3,
+    as_matrix3,
+    det,
+    frobenius,
+    inverse,
+    is_singular,
+    norms,
+    singular_values,
+    spd_power,
+)
 from .metrics import StrainMetric, distance_to_identity, distance_to_identity_many, tie_tolerance
 from .unimodular import (
     DEFAULT_GUARD,
@@ -187,10 +197,9 @@ def _merge(a: _Fold, b: _Fold) -> _Fold:
 
 def _require_generator(m, name: str) -> np.ndarray:
     a = as_matrix3(m)
-    d = det(a)
-    if abs(d) <= 1e-12 * frobenius(a) ** 3:
+    if is_singular(a):
         raise SingularMatrix(f"{name} generator is singular to working precision")
-    if d < 0.0:
+    if det(a) < 0.0:
         raise NotRightHanded(f"{name} generator must have positive determinant")
     return a
 

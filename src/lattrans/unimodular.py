@@ -137,13 +137,6 @@ def iter_slk_blocks(k: int, guard: int = DEFAULT_GUARD) -> Iterator[np.ndarray]:
             yield block
 
 
-def enumerate_slk(k: int, guard: int = DEFAULT_GUARD) -> Iterator[np.ndarray]:
-    """Yield every matrix of SL^k exactly once, in lexicographic order."""
-    for block in iter_slk_blocks(k, guard):
-        for i in range(block.shape[0]):
-            yield block[i].copy()
-
-
 @lru_cache(maxsize=MATERIALIZE_MAX_K)
 def materialize_slk(k: int) -> np.ndarray:
     """SL^k as one read-only array; cached, limited to small radii."""
@@ -179,14 +172,6 @@ def _naive_array(k: int) -> np.ndarray:
     return np.concatenate(out).reshape(-1, 3, 3)
 
 
-def enumerate_slk_naive(k: int, guard: int = NAIVE_MAX_K) -> Iterator[np.ndarray]:
-    """Oracle enumeration of SL^k by exhausting all (2k+1)^9 tuples."""
-    _check_k(k, guard)
-    arr = _naive_array(k)
-    for i in range(arr.shape[0]):
-        yield arr[i].copy()
-
-
 def integer_inverse(mu) -> np.ndarray:
     """Exact integer inverse (adjugate) of a determinant-one matrix."""
     m = np.asarray(mu, dtype=np.int64)
@@ -212,24 +197,6 @@ def integer_inverse_batch(mus: np.ndarray) -> np.ndarray:
     inv[:, 2, 1] = m[:, 0, 1] * m[:, 2, 0] - m[:, 0, 0] * m[:, 2, 1]
     inv[:, 2, 2] = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
     return inv
-
-
-def iter_sl_neg_k_blocks(k: int, guard: int = DEFAULT_GUARD) -> Iterator[np.ndarray]:
-    """Stream SL^-k as blocks: the exact inverses of the SL^k stream."""
-    for block in iter_slk_blocks(k, guard):
-        yield integer_inverse_batch(block)
-
-
-def enumerate_sl_neg_k(k: int, guard: int = DEFAULT_GUARD) -> Iterator[np.ndarray]:
-    """Yield every matrix whose inverse has entries bounded by k.
-
-    Implemented by inverting the SL^k stream; the inverse of a
-    determinant-one integer matrix is its adjugate, so this is exact and
-    the two sets have equal cardinality.
-    """
-    for block in iter_sl_neg_k_blocks(k, guard):
-        for i in range(block.shape[0]):
-            yield block[i].copy()
 
 
 def count_slk(k: int, naive: bool = False, guard: int = DEFAULT_GUARD) -> EnumerationStats:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -287,6 +288,31 @@ def test_region_iterated_refinement_only_grows():
         assert after.extended_d1 >= before.extended_d1
         assert after.extended_d2 >= before.extended_d2
         assert after.certified_d1 >= before.certified_d1
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_default_region_table_bytes_are_pinned():
+    # the CSV that ``lattrans region`` writes with its default ranges
+    table = app.bct_region_scan().table()
+    assert _sha256(table) == "7e95e607862493395e509603dd12327192e07cd52412e97d17f21c49b6b661bf"
+
+
+def test_refined_region_table_bytes_are_pinned():
+    # one refinement pass certifies (0.93, 1.13) for r = 1 through a
+    # certified neighbour, so the chained margin decides at least one flag
+    window = dict(a_range=(0.9, 0.96), c_range=(1.08, 1.18), step=0.01)
+    base = app.bct_region_scan(**window).table()
+    refined = app.bct_region_scan(**window, iterations=1).table()
+    assert base != refined
+    assert _sha256(refined) == "17c8996c51b0c596b479e8e01acda144843d3a3b3ae9332fa7b9d5810543c62a"
+    assert app.bct_region_scan(**window, iterations=2).table() == refined
+    square = app.bct_region_scan(a_range=(1.0, 1.08), c_range=(1.0, 1.08), iterations=1)
+    assert _sha256(square.table()) == (
+        "c95a6827fddab0f91355e39affdd0f2ed8dcd0360304f3e4feb4e3acf408ebb1"
+    )
 
 
 def test_region_table_roundtrip(tmp_path):

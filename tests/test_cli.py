@@ -226,6 +226,14 @@ def test_count_sl_budget(capsys):
     assert code == 3
 
 
+def test_count_sl_rejects_threads(capsys):
+    # counting has no worker pool, so the option is not accepted
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count-sl", "--k", "1", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_structured_output_is_valid_json(capsys):
     import json
 

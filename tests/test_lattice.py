@@ -143,7 +143,7 @@ def test_point_group_equals_orthogonal_unimodulars():
     members = {tuple(g.ravel()) for g in lattice.cubic_point_group()}
     orthogonal = {
         tuple(mu.ravel())
-        for mu in unimodular.enumerate_slk(1)
+        for mu in unimodular.materialize_slk(1)
         if np.array_equal(mu @ mu.T, np.eye(3, dtype=np.int64))
     }
     assert members == orthogonal

@@ -102,6 +102,31 @@ def test_sym_eigen_reconstruction_hypothesis(entries):
     assert matrix3.frobenius(v @ np.diag(w) @ v.T - s.array) <= 1e-11 * scale
 
 
+def test_near_diagonal_matrix_keeps_exact_zeros():
+    # off-diagonal noise far below 1e-14 |S|_F: the diagonal is the spectrum
+    noisy = np.diag([1.2, 0.7, 0.9])
+    noisy[0, 1] = noisy[1, 0] = 1e-17
+    noisy[1, 2] = noisy[2, 1] = -1e-17
+    noisy[0, 2] = noisy[2, 0] = 1e-17
+    w, v = matrix3.sym_eigen(noisy)
+    assert w.tolist() == [1.2, 0.9, 0.7]
+    assert np.array_equal(v, np.eye(3)[:, [0, 2, 1]])
+    root = matrix3.spd_power(noisy, 0.5).array
+    assert np.array_equal(root, np.diag(np.array([1.2, 0.7, 0.9]) ** 0.5))
+
+
+def test_non_diagonal_matrix_is_not_read_as_diagonal():
+    s = np.array([[2.0, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    w, v = matrix3.sym_eigen(s)
+    half = math.sqrt(0.25 + 0.1**2)
+    assert np.allclose(w, [3.0, 1.5 + half, 1.5 - half], atol=1e-14)
+    assert w.tolist() != [3.0, 2.0, 1.0]
+    assert not np.array_equal(np.abs(v), np.eye(3)[:, [2, 0, 1]])
+    root = matrix3.spd_power(s, 0.5).array
+    assert root[0, 1] != 0.0
+    assert np.allclose(root @ root, s, atol=1e-14)
+
+
 def test_singular_values_bain_stretch():
     sv = matrix3.singular_values(np.diag([2 ** (-1 / 3), 2 ** (1 / 6), 2 ** (1 / 6)]))
     assert sv.nu1 == pytest.approx(2 ** (1 / 6), abs=1e-14)

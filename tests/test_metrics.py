@@ -111,6 +111,12 @@ def test_bulk_identity_distances_match_scalar():
         assert (np.abs(bulk - scalar) <= 1e-12 * (1.0 + scalar)).all()
 
 
+def _gram_power_reference(m, r):
+    """(M^T M)^(r/2) = V diag(s^r) V^T from the SVD M = U diag(s) V^T."""
+    _, s, vt = np.linalg.svd(m)
+    return (vt.T * s**r) @ vt
+
+
 def test_bulk_pair_distances_match_scalar():
     rng = np.random.default_rng(6)
     fs = np.stack([random_invertible(rng) for _ in range(100)])
@@ -119,7 +125,12 @@ def test_bulk_pair_distances_match_scalar():
         m = metrics.StrainMetric(r)
         bulk = metrics.distance_many(fs, gs, m)
         scalar = np.array([metrics.distance(f, g, m) for f, g in zip(fs, gs)])
-        assert np.abs(bulk - scalar).max() <= 1e-10 * (1.0 + scalar.max())
+        reference = np.array([
+            np.linalg.norm(_gram_power_reference(f, r) - _gram_power_reference(g, r))
+            for f, g in zip(fs, gs)
+        ])
+        assert np.abs(bulk - scalar).max() <= 1e-12 * (1.0 + scalar.max())
+        assert np.abs(bulk - reference).max() <= 1e-10 * (1.0 + reference.max())
 
 
 def test_stretch_bound_identity():

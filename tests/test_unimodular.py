@@ -36,15 +36,16 @@ def test_pruned_equals_naive_radius_two():
 
 
 def test_stream_contains_identity_and_bain_correspondence():
-    seen = {tuple(m.ravel()) for m in unimodular.enumerate_slk(1)}
+    seen = {tuple(m.ravel()) for m in unimodular.materialize_slk(1)}
     assert tuple(np.eye(3, dtype=np.int64).ravel()) in seen
     assert tuple(BAIN_MU0.ravel()) in seen
 
 
 def test_every_emitted_matrix_has_unit_determinant():
-    for m in unimodular.enumerate_slk(1):
-        assert _det_int(m) == 1
-        assert np.abs(m).max() <= 1
+    for block in unimodular.iter_slk_blocks(1):
+        for m in block:
+            assert _det_int(m) == 1
+            assert np.abs(m).max() <= 1
 
 
 def test_stream_is_strictly_lexicographic():
@@ -55,14 +56,14 @@ def test_stream_is_strictly_lexicographic():
 
 def test_naive_guard():
     with pytest.raises(BudgetExceeded):
-        list(unimodular.enumerate_slk_naive(3))
+        unimodular.count_slk(3, naive=True)
 
 
 def test_radius_guard():
     with pytest.raises(BudgetExceeded):
         unimodular.count_slk(9)
     with pytest.raises(BudgetExceeded):
-        list(unimodular.enumerate_slk(9))
+        list(unimodular.iter_slk_blocks(9))
     # the guard is configurable
     assert unimodular.count_slk(1, guard=1).count == 3480
 
@@ -75,19 +76,24 @@ def test_bad_radius():
 def test_inverse_bounded_counts_match():
     for k in (1, 2):
         direct = unimodular.count_slk(k).count
-        inverse_count = sum(b.shape[0] for b in unimodular.iter_sl_neg_k_blocks(k))
+        inverse_count = sum(
+            unimodular.integer_inverse_batch(b).shape[0] for b in unimodular.iter_slk_blocks(k)
+        )
         assert inverse_count == direct
 
 
 def test_inverse_bounded_members_have_bounded_inverses():
-    for mu in unimodular.enumerate_sl_neg_k(1):
+    for mu in unimodular.integer_inverse_batch(unimodular.materialize_slk(1)):
         assert _det_int(mu) == 1
         inv = unimodular.integer_inverse(mu)
         assert np.abs(inv).max() <= 1
 
 
 def test_identity_in_inverse_bounded_set():
-    seen = {tuple(m.ravel()) for m in unimodular.enumerate_sl_neg_k(1)}
+    seen = {
+        tuple(m.ravel())
+        for m in unimodular.integer_inverse_batch(unimodular.materialize_slk(1))
+    }
     assert tuple(np.eye(3, dtype=np.int64).ravel()) in seen
 
 
