@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -200,7 +200,7 @@ def _bain_class_checks(report: OptimalityReport, metric: StrainMetric, scale: fl
             matched.add(hit)
 
 
-def verify_bain(metric: StrainMetric, workers: int = 1) -> dict:
+def verify_bain(metric: StrainMetric) -> dict:
     """Reproduce the fcc-to-bcc ground state for r in {1, 2, -2}.
 
     Uses the known correspondence as a bound hint (the search stays
@@ -209,7 +209,7 @@ def verify_bain(metric: StrainMetric, workers: int = 1) -> dict:
     """
     if metric.r not in (1.0, 2.0, -2.0):
         raise ValueError("the cubic ground state is certified for exponents 1, 2 and -2")
-    report = solve(_FCC, _BCC, metric, hint_mus=[BAIN_MU0], workers=workers)
+    report = solve(_FCC, _BCC, metric, hint_mus=[BAIN_MU0])
     failures: list = []
     _bain_class_checks(report, metric, 1.0, failures)
     if metric.r == -2.0:
@@ -228,7 +228,7 @@ def verify_bain(metric: StrainMetric, workers: int = 1) -> dict:
     }
 
 
-def bain_with_volume(scale: float, metric: StrainMetric, workers: int = 1) -> dict:
+def bain_with_volume(scale: float, metric: StrainMetric) -> dict:
     """Solve fcc to the volume-scaled bcc cell.
 
     Inside ``BAIN_VALIDITY[metric.r]`` the optimum is asserted to be the
@@ -240,7 +240,7 @@ def bain_with_volume(scale: float, metric: StrainMetric, workers: int = 1) -> di
         raise ValueError("scale must be positive")
     lo, hi = BAIN_VALIDITY.get(metric.r, (math.nan, math.nan))
     inside = lo < scale < hi if not math.isnan(lo) else False
-    report = solve(_FCC, bcc_basis(scale), metric, hint_mus=[BAIN_MU0], workers=workers)
+    report = solve(_FCC, bcc_basis(scale), metric, hint_mus=[BAIN_MU0])
     if inside:
         failures: list = []
         _bain_class_checks(report, metric, scale, failures)
@@ -345,8 +345,7 @@ class BctFlags:
 _EXTENDED_ANCHORS = (0.9, 1.1, 1.3)
 
 
-def bct_stability_flags(a_scale: float, c_scale: float,
-                        anchors: tuple = _EXTENDED_ANCHORS) -> BctFlags:
+def bct_stability_flags(a_scale: float, c_scale: float) -> BctFlags:
     """Evaluate the optimality certificates at one (A, C) point.
 
     The radius-1 certificate perturbs the equal-density cubic problem:
@@ -370,7 +369,7 @@ def bct_stability_flags(a_scale: float, c_scale: float,
     d2_outside = 2.0 ** (4.0 / 3.0) * A - 1.0 > m0_2
 
     ext1 = ext2 = False
-    for lam in tuple(anchors) + (0.995 * math.sqrt(A * C),):
+    for lam in _EXTENDED_ANCHORS + (0.995 * math.sqrt(A * C),):
         scaled = bct_basis(A / lam, C / lam)
         lo1, hi1 = BAIN_EXCITED_VALIDITY[1.0]
         if lo1 < lam < hi1 and not ext1:
@@ -441,9 +440,9 @@ class RegionScanResult:
         with open(path, "w") as handle:
             handle.write(self.table())
 
-    def cell(self, a_scale: float, c_scale: float, tol: float = 1e-9) -> BctFlags:
+    def cell(self, a_scale: float, c_scale: float) -> BctFlags:
         for flags in self.flags:
-            if abs(flags.a_scale - a_scale) <= tol and abs(flags.c_scale - c_scale) <= tol:
+            if abs(flags.a_scale - a_scale) <= 1e-9 and abs(flags.c_scale - c_scale) <= 1e-9:
                 return flags
         raise KeyError(f"no grid cell at ({a_scale}, {c_scale})")
 
@@ -489,6 +488,11 @@ def _refine_extended(cells: list) -> list:
     """One pass of re-anchoring uncertified cells on certified ones."""
     anchors1 = [c for c in cells if c.certified_d1][:: max(1, len(cells) // 512)]
     anchors2 = [c for c in cells if c.certified_d2][:: max(1, len(cells) // 512)]
+
+    @cache
+    def reference(anchor: BctFlags, r: float) -> tuple:
+        return _excited_lower_bound(anchor, r), bct_basis(anchor.a_scale, anchor.c_scale)
+
     out = []
     for cell in cells:
         if not cell.hypothesis_ok or (cell.certified_d1 and cell.certified_d2):
@@ -500,15 +504,15 @@ def _refine_extended(cells: list) -> list:
         if not ext1 and cell.d1_outside:
             m0 = _bct_ground_distance(A, C, 1.0)
             for anchor in anchors1:
-                ref = bct_basis(anchor.a_scale, anchor.c_scale)
-                if _margin(_excited_lower_bound(anchor, 1.0), 1.0, 1.0, bac, ref) >= m0:
+                excited, ref = reference(anchor, 1.0)
+                if _margin(excited, 1.0, 1.0, bac, ref) >= m0:
                     ext1 = True
                     break
         if not ext2 and cell.d2_outside:
             m0 = _bct_ground_distance(A, C, 2.0)
             for anchor in anchors2:
-                ref = bct_basis(anchor.a_scale, anchor.c_scale)
-                if _margin(_excited_lower_bound(anchor, 2.0), 2.0, 1.0, bac, ref) >= m0:
+                excited, ref = reference(anchor, 2.0)
+                if _margin(excited, 2.0, 1.0, bac, ref) >= m0:
                     ext2 = True
                     break
         if ext1 != cell.extended_d1 or ext2 != cell.extended_d2:
@@ -522,7 +526,7 @@ def _refine_extended(cells: list) -> list:
     return out
 
 
-def terephthalic_case(workers: int = 1) -> dict:
+def terephthalic_case() -> dict:
     """Reproduce the Terephthalic Acid I -> II optimal transformations.
 
     Builds both primitive cells from the published triclinic parameters,
@@ -538,7 +542,7 @@ def terephthalic_case(workers: int = 1) -> dict:
 
     expected = {1.0: 0.474, 2.0: 1.035}
     for r, want in expected.items():
-        report = solve(f1, f2, StrainMetric(r), workers=workers)
+        report = solve(f1, f2, StrainMetric(r))
         out[r] = report
         _check(failures, report.bound.side == "direct" and report.k_used == 3,
                f"r={r}: expected automatic direct radius 3, got "
@@ -556,7 +560,7 @@ def terephthalic_case(workers: int = 1) -> dict:
         _check(failures, report.gap is not None and report.gap > 0.015,
                f"r={r}: gap {report.gap} is not above 0.015")
 
-    report = solve(f1, f2, StrainMetric(-2.0), workers=workers)
+    report = solve(f1, f2, StrainMetric(-2.0))
     out[-2.0] = report
     _check(failures, report.bound.side == "inverse" and report.k_used == 2,
            f"r=-2: expected automatic inverse radius 2, got "

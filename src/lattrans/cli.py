@@ -22,7 +22,6 @@ exceeded, 4 unresolved tie (only with --strict).
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 import time
@@ -221,14 +220,7 @@ def cmd_solve(args) -> int:
     parent = parse_lattice(args.parent, args.fix_handedness)
     product = parse_lattice(args.product, args.fix_handedness)
     metric = StrainMetric(args.r)
-    report = solve(
-        parent,
-        product,
-        metric,
-        k=args.k,
-        workers=args.threads,
-        guard=args.guard,
-    )
+    report = solve(parent, product, metric, k=args.k, guard=args.guard)
     if args.format == "structured":
         _emit(dumps_structured(report_document(report)), args.out)
     else:
@@ -245,10 +237,10 @@ def cmd_verify(args) -> int:
         return 2
     try:
         if name == "terephthalic":
-            applications.terephthalic_case(workers=args.threads)
+            applications.terephthalic_case()
         else:
             r = {"bain-d1": 1.0, "bain-d2": 2.0, "bain-dm2": -2.0}[name]
-            applications.verify_bain(StrainMetric(r), workers=args.threads)
+            applications.verify_bain(StrainMetric(r))
     except VerificationFailed as exc:
         sys.stderr.write(f"{name}: FAILED\n")
         for failure in exc.failures:
@@ -319,14 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="exit 4 when ground and excited levels tie")
     p_solve.add_argument("--fix-handedness", action="store_true",
                          help="relabel left-handed bases instead of refusing them")
-    p_solve.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                         help="worker threads (default: available parallelism)")
     common(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run a built-in reproduction")
     p_verify.add_argument("name", help="one of: " + ", ".join(_VERIFY_NAMES))
-    p_verify.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p_verify.set_defaults(func=cmd_verify)
 
     p_region = sub.add_parser("region", help="scan tetragonal stability certificates")

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InfeasibleAngles, NotRightHanded
 from .matrix3 import as_matrix3, det, inverse
+from .unimodular import _det_cols
 
 log = logging.getLogger(__name__)
 
@@ -160,8 +161,7 @@ def cubic_point_group() -> np.ndarray:
             m = np.zeros((3, 3), dtype=np.int64)
             for j in range(3):
                 m[perm[j], j] = signs[j]
-            d = int(round(det(m)))
-            if d == 1:
+            if _det_cols(m.reshape(9)) == 1:
                 mats.append(m)
     mats.sort(key=lambda m: tuple(m.ravel()))
     group = np.stack(mats)
@@ -169,7 +169,7 @@ def cubic_point_group() -> np.ndarray:
     return group
 
 
-def same_lattice(f, g, tol: float = INT_TOL) -> np.ndarray | None:
+def same_lattice(f, g) -> np.ndarray | None:
     """Change of basis mu with G = F mu, if the two bases generate the
     same lattice; None otherwise.
 
@@ -179,14 +179,9 @@ def same_lattice(f, g, tol: float = INT_TOL) -> np.ndarray | None:
     g = as_matrix3(g)
     mu_f = inverse(f) @ g
     mu = np.rint(mu_f)
-    if np.abs(mu_f - mu).max() > tol:
+    if np.abs(mu_f - mu).max() > INT_TOL:
         return None
     mu = mu.astype(np.int64)
-    d = (
-        mu[0, 0] * (mu[1, 1] * mu[2, 2] - mu[1, 2] * mu[2, 1])
-        - mu[0, 1] * (mu[1, 0] * mu[2, 2] - mu[1, 2] * mu[2, 0])
-        + mu[0, 2] * (mu[1, 0] * mu[2, 1] - mu[1, 1] * mu[2, 0])
-    )
-    if d != 1:
+    if _det_cols(mu.reshape(9)) != 1:
         return None
     return mu

@@ -19,12 +19,13 @@ those searches enumerate the box and invert exactly.
 
 Candidate evaluation is pure and partitioned into blocks; the fold that
 merges block results is associative and merged in block order, so
-reports are identical for any worker count.
+reports are identical for any thread count (one per usable CPU).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -49,6 +50,7 @@ from .unimodular import (
     DEFAULT_GUARD,
     MATERIALIZE_MAX_K,
     _box_triples,
+    _det_cols,
     _row_block,
     integer_inverse_batch,
     materialize_slk,
@@ -204,18 +206,26 @@ def _require_generator(m, name: str) -> np.ndarray:
     return a
 
 
-def search_bound(f, g, metric: StrainMetric, incumbent: float | None = None) -> SearchBound:
+def search_bound(f, g, metric: StrainMetric, hint_mus: Iterable | None = None) -> SearchBound:
     """Smallest certified entry-box radius containing every optimum.
 
-    ``incumbent`` may supply a better (achievable) distance than the
-    default m0 = distance of G F^-1 to the identity, shrinking the
-    radius without losing any minimizer.
+    Each correspondence in ``hint_mus`` (a determinant-one integer
+    matrix; anything else raises ValueError) is evaluated exactly; a
+    distance below the default m0 = distance of G F^-1 to the identity
+    shrinks the radius without losing any minimizer.
     """
     f = _require_generator(f, "parent")
     g = _require_generator(g, "product")
     s = abs(metric.r)
-    m0 = distance_to_identity(g @ inverse(f), metric)
-    m0_eff = m0 if incumbent is None else min(m0, incumbent)
+    finv = inverse(f)
+    m0 = distance_to_identity(g @ finv, metric)
+    m0_eff = m0
+    if hint_mus is not None:
+        for mu in hint_mus:
+            mu = np.asarray(mu, dtype=np.int64)
+            if _det_cols(mu.reshape(9)) != 1:
+                raise ValueError(f"hint {mu.tolist()} is not a determinant-one integer matrix")
+            m0_eff = min(m0_eff, distance_to_identity(g @ mu.astype(float) @ finv, metric))
     if metric.r > 0:
         num = norms(f).col_max
         den = singular_values(g).nu3
@@ -232,13 +242,22 @@ def search_bound(f, g, metric: StrainMetric, incumbent: float | None = None) -> 
     return SearchBound(k=k, m0=m0, raw_bound=raw, side=side)
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on; read per scan, as affinity can change."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _candidate_tasks(k: int, guard: int):
-    """Block descriptors whose boundaries do not depend on worker count."""
+    """Block descriptors whose boundaries do not depend on thread count."""
     if k > guard:
         raise BudgetExceeded(f"search radius k={k} exceeds the practical guard {guard}")
     if k <= MATERIALIZE_MAX_K:
         cached = materialize_slk(k)
         return [("slab", cached[i : i + _SLAB]) for i in range(0, cached.shape[0], _SLAB)]
+    # rows enumerate in the worker: pool.map submits every task at once
     return [("row", r1, k) for r1 in _box_triples(k)]
 
 
@@ -250,7 +269,7 @@ def _task_block(task) -> np.ndarray:
     return block
 
 
-def _scan(f, g, metric: StrainMetric, k: int, side: str, workers: int, guard: int,
+def _scan(f, g, metric: StrainMetric, k: int, side: str, guard: int,
           want_levels: bool) -> _Fold:
     finv = inverse(f)
     tasks = _candidate_tasks(k, guard)
@@ -265,6 +284,7 @@ def _scan(f, g, metric: StrainMetric, k: int, side: str, workers: int, guard: in
         return _fold_block(mus, hs, d, want_levels)
 
     total = _Fold(levels=[] if want_levels else None)
+    workers = min(_worker_count(), len(tasks))
     if workers <= 1:
         for task in tasks:
             total = _merge(total, work(task))
@@ -275,33 +295,23 @@ def _scan(f, g, metric: StrainMetric, k: int, side: str, workers: int, guard: in
     return total
 
 
-def solve(f, g, metric: StrainMetric, *, k: int | None = None, workers: int = 1,
-          guard: int = DEFAULT_GUARD, incumbent: float | None = None,
-          hint_mus: Iterable | None = None) -> OptimalityReport:
+def solve(f, g, metric: StrainMetric, *, k: int | None = None,
+          guard: int = DEFAULT_GUARD, hint_mus: Iterable | None = None) -> OptimalityReport:
     """Find every optimal lattice transformation from L(F) to L(G).
 
     The search radius comes from :func:`search_bound` unless ``k`` forces
     one; a forced radius smaller than the certified one is honoured but
     the report is marked uncertified.  ``hint_mus`` supplies candidate
-    correspondences whose (exactly evaluated) distances shrink the bound;
-    ``incumbent`` does the same with a caller-known achievable distance.
+    correspondences whose (exactly evaluated) distances shrink the bound.
     """
     f = _require_generator(f, "parent")
     g = _require_generator(g, "product")
-    finv = inverse(f)
 
-    best_known = incumbent
-    if hint_mus is not None:
-        for mu in hint_mus:
-            mu = np.asarray(mu, dtype=np.int64)
-            d_hint = distance_to_identity(g @ mu.astype(float) @ finv, metric)
-            best_known = d_hint if best_known is None else min(best_known, d_hint)
-
-    bound = search_bound(f, g, metric, incumbent=best_known)
+    bound = search_bound(f, g, metric, hint_mus)
     k_used = bound.k if k is None else int(k)
     certified = k_used >= bound.k
 
-    fold = _scan(f, g, metric, k_used, bound.side, workers, guard, want_levels=False)
+    fold = _scan(f, g, metric, k_used, bound.side, guard, want_levels=False)
     if fold.count == 0:
         raise RuntimeError("candidate enumeration produced no matrices")
 
@@ -333,7 +343,7 @@ def solve(f, g, metric: StrainMetric, *, k: int | None = None, workers: int = 1,
     )
 
 
-def ranked_distances(f, g, metric: StrainMetric, k: int, *, workers: int = 1,
+def ranked_distances(f, g, metric: StrainMetric, k: int, *,
                      guard: int = DEFAULT_GUARD) -> list[tuple[float, int]]:
     """Distinct distance levels over the radius-k box, with multiplicities.
 
@@ -344,16 +354,16 @@ def ranked_distances(f, g, metric: StrainMetric, k: int, *, workers: int = 1,
     f = _require_generator(f, "parent")
     g = _require_generator(g, "product")
     side = "direct" if metric.r > 0 else "inverse"
-    fold = _scan(f, g, metric, k, side, workers, guard, want_levels=True)
+    fold = _scan(f, g, metric, k, side, guard, want_levels=True)
     return list(fold.levels or [])
 
 
-def group_classes(transformations, tol: float = CLASS_REL_TOL) -> list[StretchClass]:
+def group_classes(transformations) -> list[StretchClass]:
     """Partition transformations into classes with equal stretch.
 
     Two transformations are equivalent (differ by a rotation) exactly
     when their Cauchy-Green tensors H^T H agree; the comparison is
-    Frobenius with relative tolerance ``tol``.  Each class carries the
+    Frobenius with relative tolerance ``CLASS_REL_TOL``.  Each class carries the
     symmetric stretch factor of its first member.
     """
     classes: list[StretchClass] = []
@@ -362,7 +372,7 @@ def group_classes(transformations, tol: float = CLASS_REL_TOL) -> list[StretchCl
         h = as_matrix3(h)
         gram = h.T @ h
         for ci, ref in enumerate(grams):
-            if frobenius(gram - ref) <= tol * (1.0 + frobenius(ref)):
+            if frobenius(gram - ref) <= CLASS_REL_TOL * (1.0 + frobenius(ref)):
                 classes[ci].members.append(idx)
                 break
         else:
@@ -380,7 +390,7 @@ class OrbitResult(NamedTuple):
     dropped: int
 
 
-def point_group_orbit(mu0, f, g, tol: float = ORBIT_INT_TOL) -> OrbitResult:
+def point_group_orbit(mu0, f, g) -> OrbitResult:
     """Correspondences generated from mu0 by cubic point-group actions.
 
     Conjugates mu0 by all pairs of cube rotations expressed in the two
@@ -394,22 +404,14 @@ def point_group_orbit(mu0, f, g, tol: float = ORBIT_INT_TOL) -> OrbitResult:
     finv = inverse(f)
     ginv = inverse(g)
     group = cubic_point_group().astype(float)
-    lefts = [ginv @ p @ g for p in group]
-    rights = [finv @ q @ f for q in group]
-    seen = {}
-    dropped = 0
-    for left in lefts:
-        for right in rights:
-            cand = left @ mu0 @ right
-            rounded = np.rint(cand)
-            if np.abs(cand - rounded).max() > tol:
-                dropped += 1
-                continue
-            mu = rounded.astype(np.int64)
-            d = int(round(det(mu)))
-            if d != 1:
-                dropped += 1
-                continue
-            seen[tuple(mu.ravel())] = mu
+    lefts = ginv @ group @ g
+    rights = finv @ group @ f
+    cands = (lefts[:, None] @ mu0 @ rights[None, :]).reshape(-1, 3, 3)
+    rounded = np.rint(cands)
+    integral = np.abs(cands - rounded).max(axis=(1, 2)) <= ORBIT_INT_TOL
+    mus = rounded[integral].astype(np.int64)
+    mus = mus[_det_cols(mus.reshape(-1, 9)) == 1]
+    seen = {tuple(mu.ravel()): mu for mu in mus}
+    dropped = cands.shape[0] - mus.shape[0]
     mus = [seen[key] for key in sorted(seen)]
     return OrbitResult(mus=mus, dropped=dropped)

@@ -181,7 +181,7 @@ def _random_rotations(rng, n):
     return np.stack([random_rotation(rng) for _ in range(n)])
 
 
-def test_criterion_6_property_suites():
+def test_criterion_6_property_suites(monkeypatch):
     n = 10_000
     tol = 1e-10
 
@@ -246,7 +246,8 @@ def test_criterion_6_property_suites():
         # byte-identical structured reports across worker counts
         docs = []
         for workers in (1, 4):
-            report = optimizer.solve(FCC, BCC, D1, workers=workers)
+            monkeypatch.setattr(optimizer, "_worker_count", lambda: workers)
+            report = optimizer.solve(FCC, BCC, D1)
             docs.append(cli.dumps_structured(cli.report_document(report)))
         assert docs[0] == docs[1]
 

@@ -154,7 +154,7 @@ def test_flags_hypothesis_gate():
     assert not flags.hypothesis_ok
 
 
-def test_extended_anchors_only_where_excited_closed_form_bounds():
+def test_extended_anchors_only_where_excited_closed_form_bounds(monkeypatch):
     # Between lambda* and 0.6989 the scaled cubic stretch is still the
     # ground state, but the body-diagonal family lies below the excited
     # closed form, so an anchor there must certify nothing.
@@ -165,7 +165,8 @@ def test_extended_anchors_only_where_excited_closed_form_bounds():
     above = optimizer.ranked_distances(FCC, app.bcc_basis(0.70), metric, 2)
     assert above[1][0] == pytest.approx(app.bain_excited_distance(metric, 0.70), abs=1e-9)
     # both anchors (0.69 and 0.995 * 0.69) lie below the excited window
-    flags = app.bct_stability_flags(0.69, 0.69, anchors=(0.69,))
+    monkeypatch.setattr(app, "_EXTENDED_ANCHORS", (0.69,))
+    flags = app.bct_stability_flags(0.69, 0.69)
     assert not flags.extended_d2
 
 

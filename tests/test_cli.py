@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lattrans import cli
+from lattrans import cli, optimizer
 
 from conftest import BCC, FCC
 
@@ -49,21 +49,18 @@ def test_left_handed_basis_refused_then_fixed():
 
 
 def test_solve_human_bain(capsys):
-    code, out, err = run(["solve", "fcc", "bcc", "--r", "1", "--threads", "1"], capsys)
+    code, out, err = run(["solve", "fcc", "bcc", "--r", "1"], capsys)
     assert code == 0
     assert "72 optimal correspondence(s) in 3 equivalence class(es)" in out
     assert "m_min = 0.269357345" in out
 
 
-def test_solve_structured_deterministic_across_threads(capsys):
-    code1, out1, _ = run(
-        ["solve", "fcc", "bcc", "--r", "1", "--threads", "1", "--format", "structured"],
-        capsys,
-    )
-    code4, out4, _ = run(
-        ["solve", "fcc", "bcc", "--r", "1", "--threads", "4", "--format", "structured"],
-        capsys,
-    )
+def test_solve_structured_deterministic_across_threads(monkeypatch, capsys):
+    argv = ["solve", "fcc", "bcc", "--r", "1", "--format", "structured"]
+    monkeypatch.setattr(optimizer, "_worker_count", lambda: 1)
+    code1, out1, _ = run(argv, capsys)
+    monkeypatch.setattr(optimizer, "_worker_count", lambda: 4)
+    code4, out4, _ = run(argv, capsys)
     assert code1 == code4 == 0
     assert out1 == out4
     assert '"minimizer_count": 72' in out1
@@ -71,7 +68,7 @@ def test_solve_structured_deterministic_across_threads(capsys):
 
 def test_solve_structured_roundtrip(capsys):
     code, out, _ = run(
-        ["solve", "fcc", "bcc", "--r", "1", "--threads", "1", "--format", "structured"],
+        ["solve", "fcc", "bcc", "--r", "1", "--format", "structured"],
         capsys,
     )
     assert code == 0
@@ -81,7 +78,7 @@ def test_solve_structured_roundtrip(capsys):
     parent = ", ".join(str(v) for row in doc["parent_basis"] for v in row)
     product = ", ".join(str(v) for row in doc["product_basis"] for v in row)
     code2, out2, _ = run(
-        ["solve", parent, product, "--r", "1", "--threads", "1", "--format", "structured"],
+        ["solve", parent, product, "--r", "1", "--format", "structured"],
         capsys,
     )
     assert code2 == 0
@@ -96,8 +93,6 @@ def test_solve_triclinic_terephthalic(capsys):
             "7.452,6.856,5.020,116.6,119.2,96.5",
             "--r",
             "2",
-            "--threads",
-            "2",
         ],
         capsys,
     )
@@ -107,20 +102,20 @@ def test_solve_triclinic_terephthalic(capsys):
 
 
 def test_solve_identical_lattices(capsys):
-    code, out, _ = run(["solve", "fcc", "fcc", "--threads", "1"], capsys)
+    code, out, _ = run(["solve", "fcc", "fcc"], capsys)
     assert code == 0
     assert "m_min = 0.000000000" in out
     assert "[1 0 0; 0 1 0; 0 0 1]" in out
 
 
 def test_solve_input_error_exit_code(capsys):
-    code, _, err = run(["solve", "fcc", "1 2 3", "--threads", "1"], capsys)
+    code, _, err = run(["solve", "fcc", "1 2 3"], capsys)
     assert code == 2
     assert "error" in err
 
 
 def test_solve_budget_exit_code(capsys):
-    code, _, err = run(["solve", "fcc", "bcc", "--k", "9", "--threads", "1"], capsys)
+    code, _, err = run(["solve", "fcc", "bcc", "--k", "9"], capsys)
     assert code == 3
 
 
@@ -133,21 +128,21 @@ def test_strict_tie_exit_code(monkeypatch, capsys):
         return report
 
     monkeypatch.setattr(cli, "solve", tied)
-    code, _, _ = run(["solve", "fcc", "bcc", "--strict", "--threads", "1"], capsys)
+    code, _, _ = run(["solve", "fcc", "bcc", "--strict"], capsys)
     assert code == 4
-    code, _, _ = run(["solve", "fcc", "bcc", "--threads", "1"], capsys)
+    code, _, _ = run(["solve", "fcc", "bcc"], capsys)
     assert code == 0
 
 
 def test_verify_commands(capsys):
     for name in ("bain-d1", "bain-d2", "bain-dm2"):
-        code, out, _ = run(["verify", name, "--threads", "1"], capsys)
+        code, out, _ = run(["verify", name], capsys)
         assert code == 0
         assert "ok" in out
 
 
 def test_verify_terephthalic(capsys):
-    code, out, _ = run(["verify", "terephthalic", "--threads", "2"], capsys)
+    code, out, _ = run(["verify", "terephthalic"], capsys)
     assert code == 0
     assert "terephthalic: ok" in out
 
@@ -192,7 +187,7 @@ def test_region_command(tmp_path, capsys):
 def test_solve_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run(
-        ["solve", "fcc", "bcc", "--threads", "1", "--format", "structured",
+        ["solve", "fcc", "bcc", "--format", "structured",
          "--out", str(path)],
         capsys,
     )
@@ -226,10 +221,16 @@ def test_count_sl_budget(capsys):
     assert code == 3
 
 
-def test_count_sl_rejects_threads(capsys):
-    # counting has no worker pool, so the option is not accepted
+@pytest.mark.parametrize(
+    "argv",
+    [["count-sl", "--k", "1"], ["solve", "fcc", "bcc"], ["verify", "bain-d1"]],
+    ids=["count-sl", "solve", "verify"],
+)
+def test_threads_option_rejected(argv, capsys):
+    # the scan reads its thread count from the CPU affinity; no command
+    # takes it as an option
     with pytest.raises(SystemExit) as exc:
-        cli.main(["count-sl", "--k", "1", "--threads", "2"])
+        cli.main(argv + ["--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
 
@@ -238,7 +239,7 @@ def test_structured_output_is_valid_json(capsys):
     import json
 
     code, out, _ = run(
-        ["solve", "fcc", "bcc:0.9", "--r", "-2", "--threads", "1", "--format", "structured"],
+        ["solve", "fcc", "bcc:0.9", "--r", "-2", "--format", "structured"],
         capsys,
     )
     assert code == 0

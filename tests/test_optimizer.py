@@ -6,7 +6,7 @@ import pytest
 from lattrans import optimizer
 from lattrans.errors import BudgetExceeded, NotRightHanded, SingularMatrix
 from lattrans.matrix3 import inverse
-from lattrans.metrics import StrainMetric
+from lattrans.metrics import StrainMetric, distance_to_identity
 
 from conftest import BAIN_MU0, BCC, FCC, TERE_F1, TERE_F2, random_rotation
 
@@ -169,9 +169,14 @@ def test_left_rotation_equivariance():
     ).max() < 1e-9
 
 
-def test_worker_count_does_not_change_report():
-    one = optimizer.solve(FCC, BCC, D1, workers=1)
-    four = optimizer.solve(FCC, BCC, D1, workers=4)
+def _with_workers(monkeypatch, n, fn, *args, **kwargs):
+    monkeypatch.setattr(optimizer, "_worker_count", lambda: n)
+    return fn(*args, **kwargs)
+
+
+def test_worker_count_does_not_change_report(monkeypatch):
+    one = _with_workers(monkeypatch, 1, optimizer.solve, FCC, BCC, D1)
+    four = _with_workers(monkeypatch, 4, optimizer.solve, FCC, BCC, D1)
     assert one.m_min == four.m_min
     assert one.m_second == four.m_second
     assert len(one.minimizers) == len(four.minimizers)
@@ -180,10 +185,20 @@ def test_worker_count_does_not_change_report():
         assert np.array_equal(a.h, b.h)
 
 
-def test_worker_count_does_not_change_levels():
-    one = optimizer.ranked_distances(FCC, BCC, D1, 2, workers=1)
-    four = optimizer.ranked_distances(FCC, BCC, D1, 2, workers=4)
+def test_worker_count_does_not_change_levels(monkeypatch):
+    one = _with_workers(monkeypatch, 1, optimizer.ranked_distances, FCC, BCC, D1, 2)
+    four = _with_workers(monkeypatch, 4, optimizer.ranked_distances, FCC, BCC, D1, 2)
     assert one == four
+
+
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(optimizer.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(optimizer.os, "cpu_count", lambda: 8)
+    assert optimizer._worker_count() == 3
+    monkeypatch.delattr(optimizer.os, "sched_getaffinity")
+    assert optimizer._worker_count() == 8
+    monkeypatch.setattr(optimizer.os, "cpu_count", lambda: None)
+    assert optimizer._worker_count() == 1
 
 
 def test_ranked_negative_exponent_uses_inverse_box():
@@ -194,11 +209,11 @@ def test_ranked_negative_exponent_uses_inverse_box():
     assert levels[0][1] == 72
 
 
-def test_streaming_path_beyond_materialisation_matches_cached():
+def test_streaming_path_beyond_materialisation_matches_cached(monkeypatch):
     # forcing the radius above the materialisation limit exercises the
     # per-first-row streaming tasks; the optimum must not change
     cached = optimizer.solve(FCC, BCC, D2, hint_mus=[BAIN_MU0])
-    streamed = optimizer.solve(FCC, BCC, D2, k=4, workers=2)
+    streamed = _with_workers(monkeypatch, 2, optimizer.solve, FCC, BCC, D2, k=4)
     assert streamed.k_used == 4 and streamed.certified
     assert streamed.m_min == cached.m_min
     assert {tuple(m.mu.ravel()) for m in streamed.minimizers} == {
@@ -251,7 +266,28 @@ def test_orbit_for_tetragonal_product_has_24_members():
 
 def test_incumbent_distance_shrinks_bound():
     loose = optimizer.search_bound(FCC, BCC, D1)
-    tight = optimizer.search_bound(FCC, BCC, D1, incumbent=BAIN_D1)
+    tight = optimizer.search_bound(FCC, BCC, D1, hint_mus=[BAIN_MU0])
     assert tight.k <= loose.k
-    rep = optimizer.solve(FCC, BCC, D1, incumbent=BAIN_D1)
+    assert tight.m0 == loose.m0
+    assert tight.raw_bound == pytest.approx(loose.raw_bound / (loose.m0 + 1.0) * (BAIN_D1 + 1.0))
+    rep = optimizer.solve(FCC, BCC, D1, hint_mus=[BAIN_MU0])
     assert len(rep.minimizers) == 72
+
+
+def test_hint_worse_than_m0_leaves_bound_unchanged():
+    plain = optimizer.search_bound(TERE_F1, TERE_F2, D1)
+    worse = np.array([[3, 1, 0], [2, 1, 0], [0, 0, 1]])
+    assert distance_to_identity(TERE_F2 @ worse @ inverse(TERE_F1), D1) > plain.m0
+    assert optimizer.search_bound(TERE_F1, TERE_F2, D1, hint_mus=[worse]) == plain
+
+
+def test_hint_must_be_a_correspondence():
+    # H = diag(0.5, 1, 1) diag(2, 1, 1) = I maps onto a sublattice only; its
+    # distance 0 is not achievable and would shrink the radius from 2 to 1
+    g = np.diag([0.5, 1.0, 1.0])
+    assert optimizer.search_bound(np.eye(3), g, D1).k == 2
+    for hint in (np.diag([2, 1, 1]), np.diag([1, 1, -1])):
+        with pytest.raises(ValueError):
+            optimizer.search_bound(np.eye(3), g, D1, hint_mus=[hint])
+        with pytest.raises(ValueError):
+            optimizer.solve(np.eye(3), g, D1, hint_mus=[hint])
