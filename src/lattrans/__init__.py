@@ -69,7 +69,6 @@ from .optimizer import (
     SearchBound,
     group_classes,
     point_group_orbit,
-    ranked_distances,
     search_bound,
     solve,
 )

@@ -11,7 +11,7 @@ raising :class:`VerificationFailed` with one message per mismatch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 
 import numpy as np
@@ -299,18 +299,6 @@ def bct_ground_spectrum(a_scale: float, c_scale: float) -> tuple:
     )
 
 
-def c_below_a_stretch(a_scale: float, c_scale: float) -> np.ndarray:
-    """Informational: the stretch reported for the C <= A side.
-
-    Not asserted optimal; outside the certified hypotheses the search
-    itself is the authority.
-    """
-    planar = 2.0 ** (1.0 / 6.0)
-    s = planar * (a_scale + c_scale) / 2.0
-    t = planar * (a_scale - c_scale) / 2.0
-    return np.array([[s, t, 0.0], [t, s, 0.0], [0.0, 0.0, 2.0 ** (-1.0 / 3.0) * a_scale]])
-
-
 @dataclass(frozen=True)
 class BctFlags:
     """Certificates for one (A, C) pair of tetragonal lattice parameters.
@@ -436,10 +424,6 @@ class RegionScanResult:
             lines.append(head + "," + ",".join(str(v) for v in row[2:]))
         return "\n".join(lines) + "\n"
 
-    def write(self, path) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.table())
-
     def cell(self, a_scale: float, c_scale: float) -> BctFlags:
         for flags in self.flags:
             if abs(flags.a_scale - a_scale) <= 1e-9 and abs(flags.c_scale - c_scale) <= 1e-9:
@@ -516,12 +500,7 @@ def _refine_extended(cells: list) -> list:
                     ext2 = True
                     break
         if ext1 != cell.extended_d1 or ext2 != cell.extended_d2:
-            cell = BctFlags(
-                a_scale=A, c_scale=C, hypothesis_ok=cell.hypothesis_ok,
-                d1_sl1=cell.d1_sl1, d1_outside=cell.d1_outside,
-                d2_sl1=cell.d2_sl1, d2_outside=cell.d2_outside,
-                extended_d1=ext1, extended_d2=ext2,
-            )
+            cell = replace(cell, extended_d1=ext1, extended_d2=ext2)
         out.append(cell)
     return out
 

@@ -85,10 +85,10 @@ def distance_many(fs: np.ndarray, gs: np.ndarray, metric: StrainMetric) -> np.nd
     """Bulk pairwise strain distances for stacks of generators."""
 
     def gram_power(ms):
-        m = np.asarray(ms, dtype=float)
-        gram = np.einsum("nji,njk->nik", m, m)
-        lam, vec = np.linalg.eigh(gram)
-        return np.einsum("nip,np,njp->nij", vec, lam ** (metric.r / 2.0), vec)
+        # (M^T M)^(r/2) = V diag(s^r) V^T from the SVD M = U diag(s) V^T,
+        # without forming M^T M, which would square the condition number
+        _, s, vt = np.linalg.svd(np.asarray(ms, dtype=float))
+        return np.einsum("npi,np,npj->nij", vt, s**metric.r, vt)
 
     diff = gram_power(fs) - gram_power(gs)
     return np.sqrt((diff**2).sum(axis=(1, 2)))

@@ -19,7 +19,10 @@ those searches enumerate the box and invert exactly.
 
 Candidate evaluation is pure and partitioned into blocks; the fold that
 merges block results is associative and merged in block order, so
-reports are identical for any thread count (one per usable CPU).
+reports are identical for any thread count (one per usable CPU).  It
+keeps the exact minimum m_min, every candidate in its tie band, and
+m_second, the smallest distance strictly above that band over the
+searched box; none of these depends on where the box is cut.
 """
 
 from __future__ import annotations
@@ -65,9 +68,6 @@ CLASS_REL_TOL = 1e-6
 #: rotations.
 ORBIT_INT_TOL = 1e-6
 
-#: Level histograms keep at most this many distinct distance levels.
-MAX_LEVELS = 64
-
 _SLAB = 1 << 16
 
 
@@ -103,6 +103,12 @@ class StretchClass:
 
 @dataclass
 class OptimalityReport:
+    """Result of one search.
+
+    ``m_second`` is the smallest distance strictly above the tie band of
+    ``m_min`` over the searched box, or None when no candidate lies there.
+    """
+
     parent: np.ndarray
     product: np.ndarray
     metric: StrainMetric
@@ -120,7 +126,11 @@ class OptimalityReport:
 
 @dataclass
 class _Fold:
-    """Associative partial result of scanning candidate blocks."""
+    """Associative partial result of scanning candidate blocks.
+
+    Keeps the rows in the tie band of ``m_min`` and, as ``m_second``, the
+    smallest distance above that band.
+    """
 
     m_min: float = math.inf
     mus: np.ndarray = field(default_factory=lambda: np.empty((0, 3, 3), dtype=np.int64))
@@ -128,72 +138,22 @@ class _Fold:
     ds: np.ndarray = field(default_factory=lambda: np.empty(0))
     m_second: float = math.inf
     count: int = 0
-    levels: list | None = None
-
-
-def _merge_levels(a: list, b: list) -> list:
-    pairs = sorted(a + b)
-    out = []
-    for value, count in pairs:
-        if out and value - out[-1][0] <= tie_tolerance(out[-1][0]):
-            out[-1][1] += count
-        else:
-            out.append([value, count])
-    return [tuple(p) for p in out[:MAX_LEVELS]]
-
-
-def _block_levels(d: np.ndarray) -> list:
-    ds = np.sort(d)
-    if ds.size == 0:
-        return []
-    gap = np.diff(ds) > tie_tolerance(ds[:-1])
-    starts = np.r_[0, np.nonzero(gap)[0] + 1]
-    counts = np.diff(np.r_[starts, ds.size])
-    return [(float(ds[i]), int(c)) for i, c in zip(starts[:MAX_LEVELS], counts[:MAX_LEVELS])]
-
-
-def _fold_block(mus: np.ndarray, hs: np.ndarray, d: np.ndarray, want_levels: bool) -> _Fold:
-    m_min = float(d.min())
-    band = m_min + tie_tolerance(m_min)
-    keep = d <= band
-    above = d[~keep]
-    return _Fold(
-        m_min=m_min,
-        mus=mus[keep],
-        hs=hs[keep],
-        ds=d[keep],
-        m_second=float(above.min()) if above.size else math.inf,
-        count=int(d.size),
-        levels=_block_levels(d) if want_levels else None,
-    )
 
 
 def _merge(a: _Fold, b: _Fold) -> _Fold:
-    if b.count == 0:
-        return a
-    if a.count == 0:
-        return b
     m_min = min(a.m_min, b.m_min)
     band = m_min + tie_tolerance(m_min)
-    mus = np.concatenate([a.mus, b.mus])
-    hs = np.concatenate([a.hs, b.hs])
-    ds = np.concatenate([a.ds, b.ds])
-    keep = ds <= band
-    dropped = ds[~keep]
-    second = min(a.m_second, b.m_second)
-    if dropped.size:
-        second = min(second, float(dropped.min()))
-    levels = None
-    if a.levels is not None and b.levels is not None:
-        levels = _merge_levels(a.levels, b.levels)
+    ka, kb = a.ds <= band, b.ds <= band
+    second = min(a.m_second, b.m_second,
+                 float(a.ds.min(initial=math.inf, where=~ka)),
+                 float(b.ds.min(initial=math.inf, where=~kb)))
     return _Fold(
         m_min=m_min,
-        mus=mus[keep],
-        hs=hs[keep],
-        ds=ds[keep],
+        mus=np.concatenate([a.mus[ka], b.mus[kb]]),
+        hs=np.concatenate([a.hs[ka], b.hs[kb]]),
+        ds=np.concatenate([a.ds[ka], b.ds[kb]]),
         m_second=second,
         count=a.count + b.count,
-        levels=levels,
     )
 
 
@@ -269,21 +229,22 @@ def _task_block(task) -> np.ndarray:
     return block
 
 
-def _scan(f, g, metric: StrainMetric, k: int, side: str, guard: int,
-          want_levels: bool) -> _Fold:
+def _scan(f, g, metric: StrainMetric, k: int, side: str, guard: int) -> _Fold:
     finv = inverse(f)
     tasks = _candidate_tasks(k, guard)
 
     def work(task) -> _Fold:
         nus = _task_block(task)
         if nus.shape[0] == 0:
-            return _Fold(levels=[] if want_levels else None)
+            return _Fold()
         mus = integer_inverse_batch(nus) if side == "inverse" else nus
         hs = (g @ mus.astype(float)) @ finv
         d = distance_to_identity_many(hs, metric)
-        return _fold_block(mus, hs, d, want_levels)
+        # merging into the empty fold applies the tie band on this thread
+        block = _Fold(m_min=float(d.min()), mus=mus, hs=hs, ds=d, count=int(d.size))
+        return _merge(_Fold(), block)
 
-    total = _Fold(levels=[] if want_levels else None)
+    total = _Fold()
     workers = min(_worker_count(), len(tasks))
     if workers <= 1:
         for task in tasks:
@@ -303,6 +264,8 @@ def solve(f, g, metric: StrainMetric, *, k: int | None = None,
     one; a forced radius smaller than the certified one is honoured but
     the report is marked uncertified.  ``hint_mus`` supplies candidate
     correspondences whose (exactly evaluated) distances shrink the bound.
+    ``m_second`` is the first excited level over the searched box, also
+    for a forced ``k`` (see :class:`OptimalityReport`).
     """
     f = _require_generator(f, "parent")
     g = _require_generator(g, "product")
@@ -311,7 +274,7 @@ def solve(f, g, metric: StrainMetric, *, k: int | None = None,
     k_used = bound.k if k is None else int(k)
     certified = k_used >= bound.k
 
-    fold = _scan(f, g, metric, k_used, bound.side, guard, want_levels=False)
+    fold = _scan(f, g, metric, k_used, bound.side, guard)
     if fold.count == 0:
         raise RuntimeError("candidate enumeration produced no matrices")
 
@@ -341,21 +304,6 @@ def solve(f, g, metric: StrainMetric, *, k: int | None = None,
         tie_unresolved=tie_unresolved,
         candidates=fold.count,
     )
-
-
-def ranked_distances(f, g, metric: StrainMetric, k: int, *,
-                     guard: int = DEFAULT_GUARD) -> list[tuple[float, int]]:
-    """Distinct distance levels over the radius-k box, with multiplicities.
-
-    Ascending; index 0 is the ground level, index 1 the first excited
-    level.  Levels are grouped at the tie tolerance and capped at
-    MAX_LEVELS.
-    """
-    f = _require_generator(f, "parent")
-    g = _require_generator(g, "product")
-    side = "direct" if metric.r > 0 else "inverse"
-    fold = _scan(f, g, metric, k, side, guard, want_levels=True)
-    return list(fold.levels or [])
 
 
 def group_classes(transformations) -> list[StretchClass]:

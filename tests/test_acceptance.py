@@ -121,9 +121,9 @@ def test_criterion_2_bain_reproduction():
 def test_criterion_3_excited_states():
     def body():
         for metric, approx in ((D1, 0.70), (D2, 1.64)):
-            levels = optimizer.ranked_distances(FCC, BCC, metric, 2)
+            excited = optimizer.solve(FCC, BCC, metric, k=2).m_second
             closed = app.bain_excited_distance(metric)
-            assert abs(levels[1][0] - closed) <= 1e-9
+            assert abs(excited - closed) <= 1e-9
             assert abs(closed - approx) <= 5e-3
 
     _report(3, "first excited levels over the radius-2 box", body)

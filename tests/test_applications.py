@@ -6,7 +6,7 @@ import pytest
 
 from lattrans import applications as app
 from lattrans import optimizer
-from lattrans.matrix3 import det, singular_values
+from lattrans.matrix3 import det
 from lattrans.metrics import StrainMetric, distance_to_identity
 
 from conftest import BAIN_MU0, FCC
@@ -116,8 +116,8 @@ def test_excited_closed_forms_at_unit_volume():
 
 def test_excited_matches_exhaustive_radius_two_scan():
     for r in (1.0, 2.0):
-        levels = optimizer.ranked_distances(FCC, app.bcc_basis(), StrainMetric(r), 2)
-        assert levels[1][0] == pytest.approx(
+        rep = optimizer.solve(FCC, app.bcc_basis(), StrainMetric(r), k=2)
+        assert rep.m_second == pytest.approx(
             app.bain_excited_distance(StrainMetric(r)), abs=1e-9
         )
 
@@ -160,23 +160,14 @@ def test_extended_anchors_only_where_excited_closed_form_bounds(monkeypatch):
     # closed form, so an anchor there must certify nothing.
     metric = StrainMetric(2.0)
     assert app.BAIN_VALIDITY[2.0][0] < 0.69 < app.BAIN_EXCITED_VALIDITY[2.0][0] < 0.70
-    below = optimizer.ranked_distances(FCC, app.bcc_basis(0.69), metric, 2)
-    assert below[1][0] < app.bain_excited_distance(metric, 0.69) - 1e-2
-    above = optimizer.ranked_distances(FCC, app.bcc_basis(0.70), metric, 2)
-    assert above[1][0] == pytest.approx(app.bain_excited_distance(metric, 0.70), abs=1e-9)
+    below = optimizer.solve(FCC, app.bcc_basis(0.69), metric, k=2)
+    assert below.m_second < app.bain_excited_distance(metric, 0.69) - 1e-2
+    above = optimizer.solve(FCC, app.bcc_basis(0.70), metric, k=2)
+    assert above.m_second == pytest.approx(app.bain_excited_distance(metric, 0.70), abs=1e-9)
     # both anchors (0.69 and 0.995 * 0.69) lie below the excited window
     monkeypatch.setattr(app, "_EXTENDED_ANCHORS", (0.69,))
     flags = app.bct_stability_flags(0.69, 0.69)
     assert not flags.extended_d2
-
-
-def test_c_below_a_stretch_report():
-    stretch = app.c_below_a_stretch(1.1, 0.9)
-    sv = singular_values(stretch)
-    # at A == C it reduces to the cubic ground stretch
-    equal = app.c_below_a_stretch(1.0, 1.0)
-    assert np.allclose(equal, np.diag([2 ** (1 / 6), 2 ** (1 / 6), 2 ** (-1 / 3)]))
-    assert sv.nu1 > sv.nu3 > 0
 
 
 def test_certified_cells_pass_exhaustive_cross_check():
@@ -316,11 +307,9 @@ def test_refined_region_table_bytes_are_pinned():
     )
 
 
-def test_region_table_roundtrip(tmp_path):
+def test_region_table_roundtrip():
     result = app.bct_region_scan(a_range=(0.9, 1.1), c_range=(0.9, 1.1), step=0.1)
-    path = tmp_path / "region.csv"
-    result.write(path)
-    lines = path.read_text().strip().splitlines()
+    lines = result.table().strip().splitlines()
     assert lines[0].split(",") == list(app.REGION_COLUMNS)
     parsed = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
     assert parsed == [tuple(float(v) for v in row) for row in result.to_rows()]

@@ -205,3 +205,14 @@ def test_identity_distance_invariant_under_right_rotation():
             base = metrics.distance_to_identity(h, m)
             rotated = metrics.distance_to_identity(h @ random_rotation(rng), m)
             assert abs(base - rotated) <= 1e-10 * (1.0 + base)
+
+
+def test_pair_distance_keeps_precision_on_ill_conditioned_generator():
+    # a Gram-matrix eigensolver squares the condition number (1e16 here)
+    # and loses the smallest stretch that negative exponents amplify
+    q = random_rotation(np.random.default_rng(11))
+    f = q @ np.diag([1.0, 1.0, 1e-8]) @ q.T
+    for r in (-2.0, -1.0):
+        m = metrics.StrainMetric(r)
+        want = metrics.distance_to_identity(f, m)
+        assert metrics.distance(f, np.eye(3), m) == pytest.approx(want, rel=1e-12)

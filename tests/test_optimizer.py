@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from lattrans import optimizer
+from lattrans.cli import dumps_structured, report_document
 from lattrans.errors import BudgetExceeded, NotRightHanded, SingularMatrix
 from lattrans.matrix3 import inverse
-from lattrans.metrics import StrainMetric, distance_to_identity
+from lattrans.metrics import StrainMetric, distance_to_identity, tie_tolerance
+from lattrans.unimodular import integer_inverse_batch, materialize_slk
 
 from conftest import BAIN_MU0, BCC, FCC, TERE_F1, TERE_F2, random_rotation
 
@@ -92,9 +94,9 @@ def test_budget_guard():
 
 
 def test_ranked_identity_ground_level_is_point_group():
-    levels = optimizer.ranked_distances(np.eye(3), np.eye(3), D1, 1)
-    assert levels[0][0] <= 1e-14
-    assert levels[0][1] == 24
+    rep = optimizer.solve(np.eye(3), np.eye(3), D1, k=1)
+    assert rep.m_min <= 1e-14
+    assert len(rep.minimizers) == 24
 
 
 def test_ranked_bain_excited_levels():
@@ -103,16 +105,9 @@ def test_ranked_bain_excited_levels():
         2.0: 2 ** -3 * math.sqrt(305 * 2 ** (2 / 3) - 400 * 2 ** (1 / 3) + 192),
     }
     for r, target in want.items():
-        levels = optimizer.ranked_distances(FCC, BCC, StrainMetric(r), 2)
-        assert levels[0][1] == 72
-        assert levels[1][0] == pytest.approx(target, abs=1e-9)
-
-
-def test_ranked_matches_solve_gap():
-    rep = optimizer.solve(FCC, BCC, D1, hint_mus=[BAIN_MU0])
-    levels = optimizer.ranked_distances(FCC, BCC, D1, rep.k_used)
-    assert levels[0][0] == pytest.approx(rep.m_min, abs=1e-14)
-    assert levels[1][0] == pytest.approx(rep.m_second, abs=1e-12)
+        rep = optimizer.solve(FCC, BCC, StrainMetric(r), k=2)
+        assert len(rep.minimizers) == 72
+        assert rep.m_second == pytest.approx(target, abs=1e-9)
 
 
 def test_bound_soundness_outside_radius_one():
@@ -185,10 +180,26 @@ def test_worker_count_does_not_change_report(monkeypatch):
         assert np.array_equal(a.h, b.h)
 
 
-def test_worker_count_does_not_change_levels(monkeypatch):
-    one = _with_workers(monkeypatch, 1, optimizer.ranked_distances, FCC, BCC, D1, 2)
-    four = _with_workers(monkeypatch, 4, optimizer.ranked_distances, FCC, BCC, D1, 2)
-    assert one == four
+@pytest.mark.parametrize("r, k", [(1.0, 2), (1.0, 3), (-2.0, 2), (-2.0, 3)])
+def test_fold_does_not_depend_on_box_cut(monkeypatch, r, k):
+    metric = StrainMetric(r)
+    default = optimizer.solve(FCC, BCC, metric, k=k)
+    monkeypatch.setattr(optimizer, "_SLAB", 997)
+    cut = optimizer.solve(FCC, BCC, metric, k=k)
+    assert dumps_structured(report_document(cut)) == dumps_structured(report_document(default))
+
+    # one unpartitioned evaluation of the whole box through batched SVD
+    box = materialize_slk(k)
+    mus = integer_inverse_batch(box) if r < 0 else box
+    nu = np.linalg.svd((BCC @ mus.astype(float)) @ inverse(FCC), compute_uv=False)
+    d = np.sqrt(((nu**r - 1.0) ** 2).sum(axis=1))
+    m_min = d.min()
+    inside = d <= m_min + tie_tolerance(m_min)
+    assert default.m_min == pytest.approx(m_min, abs=1e-12)
+    assert {tuple(m.mu.ravel()) for m in default.minimizers} == {
+        tuple(mu.ravel()) for mu in mus[inside]
+    }
+    assert default.m_second == pytest.approx(d[~inside].min(), abs=1e-12)
 
 
 def test_worker_count_follows_cpu_affinity(monkeypatch):
@@ -202,11 +213,12 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
 
 
 def test_ranked_negative_exponent_uses_inverse_box():
-    levels = optimizer.ranked_distances(FCC, BCC, DM2, 1)
-    assert levels[0][0] == pytest.approx(
+    rep = optimizer.solve(FCC, BCC, DM2, k=1)
+    assert rep.bound.side == "inverse"
+    assert rep.m_min == pytest.approx(
         math.sqrt((2 ** (2 / 3) - 1) ** 2 + 2 * (2 ** (-1 / 3) - 1) ** 2), abs=1e-12
     )
-    assert levels[0][1] == 72
+    assert len(rep.minimizers) == 72
 
 
 def test_streaming_path_beyond_materialisation_matches_cached(monkeypatch):
