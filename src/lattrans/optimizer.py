@@ -15,21 +15,20 @@ entry box [-k, k] has a column of squared norm at least (k+1)**2 + 1
 (a column (k+1, 0, 0) would force the determinant to be divisible by
 k+1), so the smallest k whose exclusion threshold exceeds the bound
 certifies the search.  Negative exponents bound the inverse instead, so
-those searches enumerate the box and invert exactly.
+those searches work on mu^-1 and invert exactly.
 
-Candidate evaluation is pure and partitioned into blocks; the fold that
-merges block results is associative and merged in block order, so
-reports are identical for any thread count (one per usable CPU).  It
-keeps the exact minimum m_min, every candidate in its tie band, and
-m_second, the smallest distance strictly above that band over the
-searched box; none of these depends on where the box is cut.
+Inside the box, the search lists only matrices whose columns lie in the
+shells of the same stretch-ratio inequality (Fincke-Pohst point sets,
+here cut to the box) and evaluates the determinant-one column triples.
+The fold over them keeps the exact minimum m_min, every candidate in its
+tie band, and m_second, the smallest distance strictly above that band
+over the searched box; the search widens its shells until m_second is
+exact, so none of these depends on the shells.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -49,15 +48,7 @@ from .matrix3 import (
     spd_power,
 )
 from .metrics import StrainMetric, distance_to_identity, distance_to_identity_many, tie_tolerance
-from .unimodular import (
-    DEFAULT_GUARD,
-    MATERIALIZE_MAX_K,
-    _box_triples,
-    _det_cols,
-    _row_block,
-    integer_inverse_batch,
-    materialize_slk,
-)
+from .unimodular import DEFAULT_GUARD, _box_triples, _det_cols, integer_inverse_batch
 
 #: Two transformations share an equivalence class when their Cauchy-Green
 #: tensors agree to this relative tolerance (looser than the distance tie
@@ -68,7 +59,12 @@ CLASS_REL_TOL = 1e-6
 #: rotations.
 ORBIT_INT_TOL = 1e-6
 
-_SLAB = 1 << 16
+#: Relative widening of the shell threshold that absorbs the rounding of
+#: the column bounds and of the evaluator (both near 1e-15 relative).
+_SLACK = 1e-9
+
+#: Triple products formed per block of the shell search (16 MB of floats).
+_BLOCK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -107,6 +103,7 @@ class OptimalityReport:
 
     ``m_second`` is the smallest distance strictly above the tie band of
     ``m_min`` over the searched box, or None when no candidate lies there.
+    ``candidates`` counts the determinant-one shell triples evaluated.
     """
 
     parent: np.ndarray
@@ -202,58 +199,65 @@ def search_bound(f, g, metric: StrainMetric, hint_mus: Iterable | None = None) -
     return SearchBound(k=k, m0=m0, raw_bound=raw, side=side)
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on; read per scan, as affinity can change."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+def _column_bounds(a: np.ndarray, b: np.ndarray, s: float, box: np.ndarray) -> np.ndarray:
+    """Entry [j, i] bounds from below the distance of every matrix whose
+    column j is box[i]: |(|A v_i| / |b_j|)**s - 1|, the inequality of
+    :func:`metrics.vector_stretch_bound` for b_j mapped onto A v_i.
+    """
+    images = np.sqrt(((box @ a.T) ** 2).sum(axis=1))
+    lengths = np.sqrt((b**2).sum(axis=0))
+    return np.abs((images[None, :] / lengths[:, None]) ** s - 1.0)
 
 
-def _candidate_tasks(k: int, guard: int):
-    """Block descriptors whose boundaries do not depend on thread count."""
-    if k > guard:
-        raise BudgetExceeded(f"search radius k={k} exceeds the practical guard {guard}")
-    if k <= MATERIALIZE_MAX_K:
-        cached = materialize_slk(k)
-        return [("slab", cached[i : i + _SLAB]) for i in range(0, cached.shape[0], _SLAB)]
-    # rows enumerate in the worker: pool.map submits every task at once
-    return [("row", r1, k) for r1 in _box_triples(k)]
+def _fold_triples(shells, f, g, metric: StrainMetric, side: str) -> _Fold:
+    """Evaluate every determinant-one triple of shell columns.
 
-
-def _task_block(task) -> np.ndarray:
-    if task[0] == "slab":
-        return task[1]
-    _, r1, k = task
-    block, _ = _row_block(r1, k)
-    return block
-
-
-def _scan(f, g, metric: StrainMetric, k: int, side: str, guard: int) -> _Fold:
+    The triple product c3 . (c1 x c2) is formed in floats, exact for
+    entries this small, in blocks of the first column so that no block
+    holds more than about ``_BLOCK`` products.
+    """
     finv = inverse(f)
-    tasks = _candidate_tasks(k, guard)
-
-    def work(task) -> _Fold:
-        nus = _task_block(task)
-        if nus.shape[0] == 0:
-            return _Fold()
-        mus = integer_inverse_batch(nus) if side == "inverse" else nus
+    c1, c2, c3 = (s.astype(float) for s in shells)
+    n2, n3 = c2.shape[0], c3.shape[0]
+    step = max(1, _BLOCK // max(1, n2 * n3))
+    fold = _Fold()
+    for lo in range(0, c1.shape[0], step):
+        cross = np.cross(c1[lo : lo + step, None, :], c2[None, :, :]).reshape(-1, 3)
+        pair, third = np.nonzero(cross @ c3.T == 1.0)
+        if pair.size == 0:
+            continue
+        cols = np.stack(
+            [shells[0][lo + pair // n2], shells[1][pair % n2], shells[2][third]], axis=-1
+        )
+        mus = integer_inverse_batch(cols) if side == "inverse" else cols
         hs = (g @ mus.astype(float)) @ finv
         d = distance_to_identity_many(hs, metric)
-        # merging into the empty fold applies the tie band on this thread
-        block = _Fold(m_min=float(d.min()), mus=mus, hs=hs, ds=d, count=int(d.size))
-        return _merge(_Fold(), block)
+        fold = _merge(fold, _Fold(m_min=float(d.min()), mus=mus, hs=hs, ds=d, count=int(d.size)))
+    return fold
 
-    total = _Fold()
-    workers = min(_worker_count(), len(tasks))
-    if workers <= 1:
-        for task in tasks:
-            total = _merge(total, work(task))
-        return total
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(work, tasks):
-            total = _merge(total, part)
-    return total
+
+def _shell_search(f, g, metric: StrainMetric, k: int, bound: SearchBound) -> _Fold:
+    """Fold over every matrix of the entry box within reach of the threshold.
+
+    The searched matrix is mu (direct side) or mu^-1 (inverse side); a
+    column whose lower bound exceeds the threshold t cannot belong to a
+    matrix at distance t or less.  Starting from t = m0, attained by
+    mu = I, every minimizer is in reach.  m_second is exact once some
+    evaluated distance above the tie band is in reach; otherwise t rises
+    to that distance, or to the next column bound when none was found,
+    until the shells hold the whole box.
+    """
+    a, b = (g, f) if bound.side == "direct" else (f, g)
+    box = _box_triples(k)
+    lower = _column_bounds(a, b, abs(metric.r), box)
+    t = bound.m0
+    while True:
+        reach = t + tie_tolerance(t)
+        inside = lower <= reach + _SLACK * (1.0 + reach)
+        fold = _fold_triples([box[m] for m in inside], f, g, metric, bound.side)
+        if fold.m_second <= reach or inside.all():
+            return fold
+        t = fold.m_second if math.isfinite(fold.m_second) else float(lower[~inside].min())
 
 
 def solve(f, g, metric: StrainMetric, *, k: int | None = None,
@@ -274,7 +278,11 @@ def solve(f, g, metric: StrainMetric, *, k: int | None = None,
     k_used = bound.k if k is None else int(k)
     certified = k_used >= bound.k
 
-    fold = _scan(f, g, metric, k_used, bound.side, guard)
+    if k_used < 1:
+        raise ValueError(f"k must be a positive integer, got {k_used}")
+    if k_used > guard:
+        raise BudgetExceeded(f"search radius k={k_used} exceeds the practical guard {guard}")
+    fold = _shell_search(f, g, metric, k_used, bound)
     if fold.count == 0:
         raise RuntimeError("candidate enumeration produced no matrices")
 

@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from lattrans import applications as app
-from lattrans import cli, lattice, metrics, optimizer, unimodular
+from lattrans import lattice, metrics, optimizer, unimodular
 
 from conftest import BAIN_MU0, BCC, FCC, random_rotation, random_well_conditioned
 
@@ -181,7 +181,7 @@ def _random_rotations(rng, n):
     return np.stack([random_rotation(rng) for _ in range(n)])
 
 
-def test_criterion_6_property_suites(monkeypatch):
+def test_criterion_6_property_suites():
     n = 10_000
     tol = 1e-10
 
@@ -243,13 +243,17 @@ def test_criterion_6_property_suites(monkeypatch):
             pruned = np.concatenate(list(unimodular.iter_slk_blocks(k)))
             assert np.array_equal(pruned, unimodular._naive_array(k))
 
-        # byte-identical structured reports across worker counts
-        docs = []
-        for workers in (1, 4):
-            monkeypatch.setattr(optimizer, "_worker_count", lambda: workers)
-            report = optimizer.solve(FCC, BCC, D1)
-            docs.append(cli.dumps_structured(cli.report_document(report)))
-        assert docs[0] == docs[1]
+        # the shell search equals one evaluation of the whole radius-3 box
+        report = optimizer.solve(FCC, BCC, D1, k=3)
+        box = unimodular.materialize_slk(3)
+        nu = np.linalg.svd((BCC @ box.astype(float)) @ np.linalg.inv(FCC), compute_uv=False)
+        d = np.sqrt(((nu - 1.0) ** 2).sum(axis=1))
+        inside = d <= d.min() + metrics.tie_tolerance(d.min())
+        assert abs(report.m_min - d.min()) <= 1e-12
+        assert {tuple(m.mu.ravel()) for m in report.minimizers} == {
+            tuple(mu.ravel()) for mu in box[inside]
+        }
+        assert abs(report.m_second - d[~inside].min()) <= 1e-12
 
     _report(6, "property suites (1e4 samples each)", body)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lattrans import cli, optimizer
+from lattrans import cli
 
 from conftest import BCC, FCC
 
@@ -55,14 +55,13 @@ def test_solve_human_bain(capsys):
     assert "m_min = 0.269357345" in out
 
 
-def test_solve_structured_deterministic_across_threads(monkeypatch, capsys):
+def test_solve_structured_deterministic_across_threads(capsys):
+    # the search runs on the calling thread; two runs print the same bytes
     argv = ["solve", "fcc", "bcc", "--r", "1", "--format", "structured"]
-    monkeypatch.setattr(optimizer, "_worker_count", lambda: 1)
     code1, out1, _ = run(argv, capsys)
-    monkeypatch.setattr(optimizer, "_worker_count", lambda: 4)
-    code4, out4, _ = run(argv, capsys)
-    assert code1 == code4 == 0
-    assert out1 == out4
+    code2, out2, _ = run(argv, capsys)
+    assert code1 == code2 == 0
+    assert out1 == out2
     assert '"minimizer_count": 72' in out1
 
 
@@ -227,8 +226,8 @@ def test_count_sl_budget(capsys):
     ids=["count-sl", "solve", "verify"],
 )
 def test_threads_option_rejected(argv, capsys):
-    # the scan reads its thread count from the CPU affinity; no command
-    # takes it as an option
+    # the search runs on the calling thread; no command takes a thread
+    # option
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--threads", "2"])
     assert exc.value.code == 2

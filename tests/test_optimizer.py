@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattrans import optimizer
-from lattrans.cli import dumps_structured, report_document
+from lattrans.applications import bct_basis
 from lattrans.errors import BudgetExceeded, NotRightHanded, SingularMatrix
 from lattrans.matrix3 import inverse
 from lattrans.metrics import StrainMetric, distance_to_identity, tie_tolerance
@@ -15,6 +18,14 @@ from conftest import BAIN_MU0, BCC, FCC, TERE_F1, TERE_F2, random_rotation
 D1 = StrainMetric(1.0)
 D2 = StrainMetric(2.0)
 DM2 = StrainMetric(-2.0)
+
+CELLS = {
+    "fcc-bcc": (FCC, BCC),
+    "fcc-bct": (FCC, bct_basis(0.95, 1.1)),
+    "terephthalic": (TERE_F1, TERE_F2),
+    "fcc-fcc": (FCC, FCC),
+    "identity": (np.eye(3), np.eye(3)),
+}
 
 BAIN_D1 = math.sqrt((2 ** (-1 / 3) - 1) ** 2 + 2 * (2 ** (1 / 6) - 1) ** 2)
 
@@ -91,6 +102,8 @@ def test_forced_small_radius_is_not_certified():
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         optimizer.solve(TERE_F1, TERE_F2, D1, k=9)
+    with pytest.raises(ValueError):
+        optimizer.solve(TERE_F1, TERE_F2, D1, k=0)
 
 
 def test_ranked_identity_ground_level_is_point_group():
@@ -164,52 +177,70 @@ def test_left_rotation_equivariance():
     ).max() < 1e-9
 
 
-def _with_workers(monkeypatch, n, fn, *args, **kwargs):
-    monkeypatch.setattr(optimizer, "_worker_count", lambda: n)
-    return fn(*args, **kwargs)
-
-
-def test_worker_count_does_not_change_report(monkeypatch):
-    one = _with_workers(monkeypatch, 1, optimizer.solve, FCC, BCC, D1)
-    four = _with_workers(monkeypatch, 4, optimizer.solve, FCC, BCC, D1)
-    assert one.m_min == four.m_min
-    assert one.m_second == four.m_second
-    assert len(one.minimizers) == len(four.minimizers)
-    for a, b in zip(one.minimizers, four.minimizers):
-        assert np.array_equal(a.mu, b.mu)
-        assert np.array_equal(a.h, b.h)
-
-
-@pytest.mark.parametrize("r, k", [(1.0, 2), (1.0, 3), (-2.0, 2), (-2.0, 3)])
-def test_fold_does_not_depend_on_box_cut(monkeypatch, r, k):
-    metric = StrainMetric(r)
-    default = optimizer.solve(FCC, BCC, metric, k=k)
-    monkeypatch.setattr(optimizer, "_SLAB", 997)
-    cut = optimizer.solve(FCC, BCC, metric, k=k)
-    assert dumps_structured(report_document(cut)) == dumps_structured(report_document(default))
-
-    # one unpartitioned evaluation of the whole box through batched SVD
+def _assert_matches_box(rep, f, g, r, k):
+    """m_min, minimizer set and m_second equal one batched-SVD evaluation
+    of the whole radius-k box."""
     box = materialize_slk(k)
     mus = integer_inverse_batch(box) if r < 0 else box
-    nu = np.linalg.svd((BCC @ mus.astype(float)) @ inverse(FCC), compute_uv=False)
+    nu = np.linalg.svd((g @ mus.astype(float)) @ inverse(f), compute_uv=False)
     d = np.sqrt(((nu**r - 1.0) ** 2).sum(axis=1))
     m_min = d.min()
     inside = d <= m_min + tie_tolerance(m_min)
-    assert default.m_min == pytest.approx(m_min, abs=1e-12)
-    assert {tuple(m.mu.ravel()) for m in default.minimizers} == {
+    assert rep.m_min == pytest.approx(m_min, abs=1e-12)
+    assert {tuple(m.mu.ravel()) for m in rep.minimizers} == {
         tuple(mu.ravel()) for mu in mus[inside]
     }
-    assert default.m_second == pytest.approx(d[~inside].min(), abs=1e-12)
+    assert rep.m_second == pytest.approx(d[~inside].min(), abs=1e-12)
 
 
-def test_worker_count_follows_cpu_affinity(monkeypatch):
-    monkeypatch.setattr(optimizer.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    monkeypatch.setattr(optimizer.os, "cpu_count", lambda: 8)
-    assert optimizer._worker_count() == 3
-    monkeypatch.delattr(optimizer.os, "sched_getaffinity")
-    assert optimizer._worker_count() == 8
-    monkeypatch.setattr(optimizer.os, "cpu_count", lambda: None)
-    assert optimizer._worker_count() == 1
+@pytest.mark.parametrize(
+    "cell, r, k",
+    list(itertools.product(["fcc-bcc", "fcc-bct", "terephthalic"], [1.0, 2.0, -2.0], [1, 2, 3])),
+)
+def test_shell_search_matches_exhaustive_box(cell, r, k):
+    f, g = CELLS[cell]
+    rep = optimizer.solve(f, g, StrainMetric(r), k=k)
+    _assert_matches_box(rep, f, g, r, k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    a=st.floats(0.85, 1.15),
+    c=st.floats(0.85, 1.15),
+    r=st.sampled_from([1.0, 2.0, -2.0]),
+    k=st.integers(1, 2),
+)
+def test_shell_search_matches_exhaustive_box_random_bct(a, c, r, k):
+    g = bct_basis(a, c)
+    rep = optimizer.solve(FCC, g, StrainMetric(r), k=k)
+    _assert_matches_box(rep, FCC, g, r, k)
+
+
+@pytest.mark.parametrize(
+    "cell, r, k",
+    [("fcc-fcc", 1.0, None), ("fcc-fcc", -2.0, None), ("identity", 1.0, 1), ("identity", 1.0, 2)],
+)
+def test_identity_in_band_keeps_exact_m_second(cell, r, k):
+    # mu = I is a minimizer, so no distance above the band lies within m0:
+    # the shells must widen until they reach the first excited level
+    f, g = CELLS[cell]
+    rep = optimizer.solve(f, g, StrainMetric(r), k=k)
+    assert rep.m_min <= 1e-12
+    _assert_matches_box(rep, f, g, r, rep.k_used)
+
+
+def test_sheared_product_basis_within_default_guard():
+    # G' = G (I - e2 e1^T) raises the certified r = -2 radius from 3 to 7;
+    # the first-column shell holds 959 vectors and the other two 225 each
+    v = np.eye(3, dtype=np.int64)
+    v[1, 0] = -1
+    anchor = optimizer.solve(FCC, BCC, DM2, hint_mus=[BAIN_MU0])
+    rep = optimizer.solve(FCC, BCC @ v, DM2)
+    assert rep.k_used == 7 and rep.certified
+    assert {tuple((v @ m.mu).ravel()) for m in rep.minimizers} == {
+        tuple(m.mu.ravel()) for m in anchor.minimizers
+    }
+    assert abs(rep.m_min - anchor.m_min) <= tie_tolerance(anchor.m_min)
 
 
 def test_ranked_negative_exponent_uses_inverse_box():
@@ -221,11 +252,10 @@ def test_ranked_negative_exponent_uses_inverse_box():
     assert len(rep.minimizers) == 72
 
 
-def test_streaming_path_beyond_materialisation_matches_cached(monkeypatch):
-    # forcing the radius above the materialisation limit exercises the
-    # per-first-row streaming tasks; the optimum must not change
+def test_streaming_path_beyond_materialisation_matches_cached():
+    # a radius above the materialisation limit must not change the optimum
     cached = optimizer.solve(FCC, BCC, D2, hint_mus=[BAIN_MU0])
-    streamed = _with_workers(monkeypatch, 2, optimizer.solve, FCC, BCC, D2, k=4)
+    streamed = optimizer.solve(FCC, BCC, D2, k=4)
     assert streamed.k_used == 4 and streamed.certified
     assert streamed.m_min == cached.m_min
     assert {tuple(m.mu.ravel()) for m in streamed.minimizers} == {
