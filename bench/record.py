@@ -1,7 +1,7 @@
 """Record the end-to-end timings of one lattrans checkout into a BENCH file.
 
-    python3 bench/record.py --column change --out BENCH_6.json
-    python3 bench/record.py --checkout ../parent --column parent --out BENCH_6.json
+    python3 bench/record.py --column change --out BENCH_<n>.json
+    python3 bench/record.py --checkout ../parent --column parent --out BENCH_<n>.json
 
 Each case is one ``lattrans`` CLI command run ``RUNS`` times, each time
 in a fresh interpreter that imports ``lattrans`` from the checkout's
@@ -15,9 +15,9 @@ The recorder pins itself, and so every command it starts, to the lowest
 CPU it may run on: on small virtual machines the CPUs can differ in
 speed, and the scheduler's choice would otherwise set a case's time.
 
-``--out`` keeps the other columns of an existing file, so the parent and
-the change of one pull request land side by side.  Measure the parent
-from a clean copy of its commit, not from an edited tree.
+``--out`` keeps the other columns of an existing file, so a change and
+its parent commit land side by side.  Measure the parent from a clean
+copy of its commit, not from an edited tree.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="root of the lattrans checkout to measure (default: this one)")
     parser.add_argument("--column", required=True, help="column name, e.g. parent or change")
-    parser.add_argument("--out", type=Path, required=True, help="BENCH_<pr>.json to update")
+    parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to update")
     args = parser.parse_args(argv)
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     checkout = args.checkout.resolve()
