@@ -21,7 +21,6 @@ from .applications import (
     bct_region_scan,
     bct_stability_flags,
     fcc_basis,
-    standard_bases,
     terephthalic_case,
     verify_bain,
 )
@@ -38,26 +37,13 @@ from .errors import (
 from .lattice import (
     LatticeSpec,
     TriclinicParams,
-    atom_density,
     cubic_point_group,
     primitive_from_centred,
     resolve_primitive,
     same_lattice,
     triclinic_to_primitive,
 )
-from .matrix3 import (
-    Matrix3,
-    MatrixNorms,
-    SingularTriple,
-    SymMatrix3,
-    det,
-    inverse,
-    norms,
-    polar_stretch,
-    singular_values,
-    spd_power,
-    sym_eigen,
-)
+from .matrix3 import det, inverse, singular_values, spd_power
 from .metrics import (
     StrainMetric,
     distance,

@@ -115,14 +115,6 @@ def bct_basis(a_scale: float, c_scale: float) -> np.ndarray:
     return np.diag([a_scale, a_scale, c_scale]) @ _BCC
 
 
-def standard_bases(scale: float = 1.0, a_scale: float = 1.0, c_scale: float = 1.0) -> dict:
-    return {
-        "fcc": fcc_basis(),
-        "bcc": bcc_basis(scale),
-        "bct": bct_basis(a_scale, c_scale),
-    }
-
-
 def bain_spectrum(scale: float = 1.0) -> tuple:
     """Principal stretches of the fcc-to-bcc ground state, descending."""
     return (
@@ -188,7 +180,7 @@ def _bain_class_checks(report: OptimalityReport, metric: StrainMetric, scale: fl
     for cls in report.classes:
         _check(failures, _spectrum_close(cls.principal_stretches, spectrum, 1e-10),
                f"class spectrum {cls.principal_stretches} is not the expected stretch")
-        rep = cls.stretch.array
+        rep = cls.stretch
         hit = None
         for key, target in perms.items():
             if np.abs(rep - target).max() <= 1e-9:
@@ -333,6 +325,23 @@ class BctFlags:
 _EXTENDED_ANCHORS = (0.9, 1.1, 1.3)
 
 
+def _scale_anchors(A: float, C: float) -> list:
+    """The volume-scale anchors of (A, C), the fixed ones plus 0.995 sqrt(AC),
+    each with its scaled cell B_AC / lam."""
+    return [(lam, bct_basis(A / lam, C / lam))
+            for lam in _EXTENDED_ANCHORS + (0.995 * math.sqrt(A * C),)]
+
+
+def _anchor_margins(anchors: list, r: float):
+    """Certificate margins against the volume-scaled cubic problems at the
+    ``anchors`` that lie inside ``BAIN_EXCITED_VALIDITY[r]``, in order."""
+    lo, hi = BAIN_EXCITED_VALIDITY[r]
+    metric = StrainMetric(r)
+    for lam, scaled in anchors:
+        if lo < lam < hi:
+            yield _margin(bain_excited_distance(metric, lam), r, lam, _BCC, scaled)
+
+
 def bct_stability_flags(a_scale: float, c_scale: float) -> BctFlags:
     """Evaluate the optimality certificates at one (A, C) point.
 
@@ -356,17 +365,9 @@ def bct_stability_flags(a_scale: float, c_scale: float) -> BctFlags:
     d1_outside = 2.0 ** (2.0 / 3.0) * A - 1.0 > m0_1
     d2_outside = 2.0 ** (4.0 / 3.0) * A - 1.0 > m0_2
 
-    ext1 = ext2 = False
-    for lam in _EXTENDED_ANCHORS + (0.995 * math.sqrt(A * C),):
-        scaled = bct_basis(A / lam, C / lam)
-        lo1, hi1 = BAIN_EXCITED_VALIDITY[1.0]
-        if lo1 < lam < hi1 and not ext1:
-            excited = bain_excited_distance(StrainMetric(1.0), lam)
-            ext1 = _margin(excited, 1.0, lam, _BCC, scaled) >= m0_1
-        lo2, hi2 = BAIN_EXCITED_VALIDITY[2.0]
-        if lo2 < lam < hi2 and not ext2:
-            excited = bain_excited_distance(StrainMetric(2.0), lam)
-            ext2 = _margin(excited, 2.0, lam, _BCC, scaled) >= m0_2
+    anchors = _scale_anchors(A, C)
+    ext1 = any(m >= m0_1 for m in _anchor_margins(anchors, 1.0))
+    ext2 = any(m >= m0_2 for m in _anchor_margins(anchors, 2.0))
     return BctFlags(
         a_scale=A,
         c_scale=C,
@@ -454,20 +455,6 @@ def bct_region_scan(a_range: tuple = (0.7, 1.8), c_range: tuple = (0.7, 1.8),
     return RegionScanResult(a_values=a_values, c_values=c_values, flags=cells)
 
 
-def _excited_lower_bound(cell: BctFlags, r: float) -> float:
-    """Best lower bound on the first excited level of a certified cell."""
-    A, C = cell.a_scale, cell.c_scale
-    best = -math.inf
-    lo, hi = BAIN_EXCITED_VALIDITY[r]
-    for lam in _EXTENDED_ANCHORS + (0.995 * math.sqrt(A * C),):
-        if not lo < lam < hi:
-            continue
-        scaled = bct_basis(A / lam, C / lam)
-        excited = bain_excited_distance(StrainMetric(r), lam)
-        best = max(best, _margin(excited, r, lam, _BCC, scaled))
-    return best
-
-
 def _refine_extended(cells: list) -> list:
     """One pass of re-anchoring uncertified cells on certified ones."""
     anchors1 = [c for c in cells if c.certified_d1][:: max(1, len(cells) // 512)]
@@ -475,7 +462,9 @@ def _refine_extended(cells: list) -> list:
 
     @cache
     def reference(anchor: BctFlags, r: float) -> tuple:
-        return _excited_lower_bound(anchor, r), bct_basis(anchor.a_scale, anchor.c_scale)
+        """The best lower bound on the anchor's first excited level, and its basis."""
+        A, C = anchor.a_scale, anchor.c_scale
+        return max(_anchor_margins(_scale_anchors(A, C), r), default=-math.inf), bct_basis(A, C)
 
     out = []
     for cell in cells:

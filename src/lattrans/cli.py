@@ -31,7 +31,7 @@ import numpy as np
 from . import applications
 from .errors import BudgetExceeded, LatTransError, VerificationFailed
 from .lattice import CENTRINGS, LatticeSpec, TriclinicParams, resolve_primitive
-from .matrix3 import det
+from .matrix3 import as_matrix3, det
 from .metrics import StrainMetric
 from .optimizer import OptimalityReport, solve
 from .unimodular import DEFAULT_GUARD, count_slk
@@ -71,7 +71,7 @@ def parse_lattice(text: str, fix_handedness: bool = False) -> np.ndarray:
         raise InputError(f"could not parse lattice {text!r}: {exc}") from None
 
     if len(values) == 9:
-        basis = np.array(values).reshape(3, 3)
+        basis = as_matrix3(np.reshape(values, (3, 3)))
         if det(basis) < 0:
             if not fix_handedness:
                 raise InputError(
@@ -160,7 +160,7 @@ def report_document(report: OptimalityReport) -> dict:
         ],
         "classes": [
             {
-                "stretch": c.stretch.array,
+                "stretch": c.stretch,
                 "principal_stretches": list(c.principal_stretches),
                 "members": c.members,
             }
@@ -196,7 +196,7 @@ def report_human(report: OptimalityReport) -> str:
     for ci, cls in enumerate(report.classes):
         nus = ", ".join(f"{v:.6f}" for v in cls.principal_stretches)
         out.append(f"class {ci}: {len(cls.members)} member(s), principal stretches [{nus}]")
-        out.extend("    " + line for line in _mat_lines(cls.stretch.array))
+        out.extend("    " + line for line in _mat_lines(cls.stretch))
     out.append("optimal integer correspondences (rows):")
     for m in report.minimizers:
         rows = "; ".join(" ".join(f"{v:d}" for v in row) for row in m.mu)

@@ -1,9 +1,10 @@
 """Bravais lattice descriptions.
 
-Bases (columns are lattice vectors, in length units such as angstroms),
-conventional-cell centrings and their primitive equivalents, conversion
-from triclinic cell parameters, atom density, the 24-element rotation
-group of the cube, and identical-basis testing.
+Bases (columns are lattice vectors, in length units such as angstroms;
+the atom density of a primitive basis B is 1 / det(B)), conventional-cell
+centrings and their primitive equivalents, conversion from triclinic cell
+parameters, the 24-element rotation group of the cube, and
+identical-basis testing.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from .errors import InfeasibleAngles, NotRightHanded
 from .matrix3 import as_matrix3, det, inverse
-from .unimodular import _det_cols
 
 log = logging.getLogger(__name__)
 
@@ -138,15 +138,6 @@ def resolve_primitive(spec: LatticeSpec) -> np.ndarray:
     return primitive_from_centred(cell, spec.centring)
 
 
-def atom_density(basis) -> float:
-    """Average lattice points per unit volume: 1 / det(basis)."""
-    b = as_matrix3(basis)
-    d = det(b)
-    if d <= 0.0:
-        raise NotRightHanded("lattice basis must have positive determinant")
-    return 1.0 / d
-
-
 @lru_cache(maxsize=1)
 def cubic_point_group() -> np.ndarray:
     """The 24 rotation matrices mapping a cube to itself.
@@ -161,7 +152,7 @@ def cubic_point_group() -> np.ndarray:
             m = np.zeros((3, 3), dtype=np.int64)
             for j in range(3):
                 m[perm[j], j] = signs[j]
-            if _det_cols(m.reshape(9)) == 1:
+            if det(m) == 1:
                 mats.append(m)
     mats.sort(key=lambda m: tuple(m.ravel()))
     group = np.stack(mats)
@@ -182,6 +173,6 @@ def same_lattice(f, g) -> np.ndarray | None:
     if np.abs(mu_f - mu).max() > INT_TOL:
         return None
     mu = mu.astype(np.int64)
-    if _det_cols(mu.reshape(9)) != 1:
+    if det(mu) != 1:
         return None
     return mu

@@ -1,15 +1,11 @@
 """Fixed-size 3x3 real linear algebra.
 
-Kernels for the matrices this package manipulates: determinants,
-inverses, the three matrix norms used by the search bounds, symmetric
-eigendecompositions, singular values, fractional powers of symmetric
-positive-definite matrices, and polar stretch factors.  Spectra come from
-LAPACK through numpy (``eigh`` and ``svd``).
-
-General matrices are plain ``numpy.ndarray`` objects of shape ``(3, 3)``;
-``Matrix3`` is an alias used in signatures for readability.  Symmetric
-matrices get a dedicated value type (:class:`SymMatrix3`) that stores a
-single triangle, so symmetry is exact by construction.
+The 3x3 formulas this package needs, all on plain ``numpy.ndarray``
+values: the cofactor determinant and the adjugate (both for one matrix or
+a stack, in the input's dtype, so integer results stay exact), the
+inverse, the singularity test, symmetric eigendecompositions, singular
+values and fractional powers of symmetric positive-definite matrices.
+Spectra come from LAPACK through numpy (``eigh`` and ``svd``).
 
 All operations are pure; values can be shared freely across threads.
 """
@@ -17,14 +13,10 @@ All operations are pure; values can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NotPositiveDefinite, SingularMatrix
-
-Matrix3 = np.ndarray
 
 #: |det M| <= DET_REL_TOL * |M|_F**3 counts as singular (scale invariant).
 DET_REL_TOL = 1e-12
@@ -48,14 +40,36 @@ def as_matrix3(m) -> np.ndarray:
     return a
 
 
-def det(m) -> float:
-    """Determinant by cofactor expansion along the first row."""
-    a = as_matrix3(m)
-    return float(
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-    )
+def _entries(a: np.ndarray):
+    """The nine entries of a (..., 3, 3) array, row-major, each of shape (...)."""
+    batch = a.ndim - 2
+    return a.reshape(a.shape[:-2] + (9,)).transpose((batch,) + tuple(range(batch)))
+
+
+def det(m):
+    """Determinant of a (3, 3) matrix or a (..., 3, 3) stack, by cofactor
+    expansion along the first row, in the input's dtype."""
+    x00, x01, x02, x10, x11, x12, x20, x21, x22 = _entries(np.asarray(m))
+    return (x00 * (x11 * x22 - x12 * x21) - x01 * (x10 * x22 - x12 * x20)
+            + x02 * (x10 * x21 - x11 * x20))
+
+
+def adjugate(m) -> np.ndarray:
+    """Adjugate of a (3, 3) matrix or a (..., 3, 3) stack, in the input's
+    dtype: adj(M) M = det(M) I."""
+    a = np.asarray(m)
+    x00, x01, x02, x10, x11, x12, x20, x21, x22 = _entries(a)
+    adj = np.empty_like(a)
+    adj[..., 0, 0] = x11 * x22 - x12 * x21
+    adj[..., 0, 1] = x02 * x21 - x01 * x22
+    adj[..., 0, 2] = x01 * x12 - x02 * x11
+    adj[..., 1, 0] = x12 * x20 - x10 * x22
+    adj[..., 1, 1] = x00 * x22 - x02 * x20
+    adj[..., 1, 2] = x02 * x10 - x00 * x12
+    adj[..., 2, 0] = x10 * x21 - x11 * x20
+    adj[..., 2, 1] = x01 * x20 - x00 * x21
+    adj[..., 2, 2] = x00 * x11 - x01 * x10
+    return adj
 
 
 def frobenius(m) -> float:
@@ -84,74 +98,7 @@ def inverse(m) -> np.ndarray:
     d = det(a)
     if abs(d) <= DET_REL_TOL * frobenius(a) ** 3:
         raise SingularMatrix("matrix is singular to working precision")
-    adj = np.empty((3, 3))
-    adj[0, 0] = a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
-    adj[0, 1] = a[0, 2] * a[2, 1] - a[0, 1] * a[2, 2]
-    adj[0, 2] = a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]
-    adj[1, 0] = a[1, 2] * a[2, 0] - a[1, 0] * a[2, 2]
-    adj[1, 1] = a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
-    adj[1, 2] = a[0, 2] * a[1, 0] - a[0, 0] * a[1, 2]
-    adj[2, 0] = a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]
-    adj[2, 1] = a[0, 1] * a[2, 0] - a[0, 0] * a[2, 1]
-    adj[2, 2] = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    return adj / d
-
-
-@dataclass(frozen=True)
-class SymMatrix3:
-    """Symmetric 3x3 matrix stored as its six independent entries."""
-
-    xx: float
-    yy: float
-    zz: float
-    xy: float
-    xz: float
-    yz: float
-
-    @classmethod
-    def from_array(cls, a) -> "SymMatrix3":
-        """Build from a (nearly) symmetric array, averaging the triangles."""
-        m = as_matrix3(a)
-        return cls(
-            xx=float(m[0, 0]),
-            yy=float(m[1, 1]),
-            zz=float(m[2, 2]),
-            xy=0.5 * float(m[0, 1] + m[1, 0]),
-            xz=0.5 * float(m[0, 2] + m[2, 0]),
-            yz=0.5 * float(m[1, 2] + m[2, 1]),
-        )
-
-    @classmethod
-    def identity(cls) -> "SymMatrix3":
-        return cls(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.xx, self.xy, self.xz],
-                [self.xy, self.yy, self.yz],
-                [self.xz, self.yz, self.zz],
-            ]
-        )
-
-
-class SingularTriple(NamedTuple):
-    """Principal stretches sorted descending, all strictly positive."""
-
-    nu1: float
-    nu2: float
-    nu3: float
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self)
-
-
-class MatrixNorms(NamedTuple):
-    frobenius: float
-    spectral: float
-    col_max: float
+    return adjugate(a) / d
 
 
 def _eigh(s: np.ndarray):
@@ -160,7 +107,8 @@ def _eigh(s: np.ndarray):
     Returns (w, V) with s = V diag(w) V^T and V orthogonal.  A matrix
     that is diagonal to within DIAGONAL_REL_TOL yields its sorted
     diagonal and a permutation of the identity; any other goes to
-    LAPACK.
+    LAPACK.  With repeated eigenvalues any orthonormal basis of the
+    eigenspace may be returned; compare reconstructions, not eigenvectors.
     """
     diag = np.diag(s)
     off = math.sqrt(2.0 * (s[0, 1] ** 2 + s[0, 2] ** 2 + s[1, 2] ** 2))
@@ -171,57 +119,24 @@ def _eigh(s: np.ndarray):
     return w[::-1], v[:, ::-1]
 
 
-def _sym_array(s) -> np.ndarray:
-    if isinstance(s, SymMatrix3):
-        return s.array
-    return SymMatrix3.from_array(s).array
-
-
-def sym_eigen(s):
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted
-    descending and eigenvectors as the columns of an orthogonal matrix.
-    With repeated eigenvalues any orthonormal basis of the eigenspace may
-    be returned; compare reconstructions, not eigenvectors.
-    """
-    return _eigh(_sym_array(s))
-
-
-def singular_values(m) -> SingularTriple:
+def singular_values(m) -> np.ndarray:
     """Principal stretches: the singular values of M, descending."""
     a = as_matrix3(m)
     _require_invertible(a)
-    w = np.linalg.svd(a, compute_uv=False)
-    return SingularTriple(float(w[0]), float(w[1]), float(w[2]))
+    return np.linalg.svd(a, compute_uv=False)
 
 
-def norms(m) -> MatrixNorms:
-    """The Frobenius, spectral and column-max norms of a matrix."""
-    a = as_matrix3(m)
-    spectral = float(np.linalg.svd(a, compute_uv=False)[0])
-    col = float(np.sqrt((a * a).sum(axis=0)).max())
-    return MatrixNorms(frobenius(a), spectral, col)
+def spd_power(s, p: float) -> np.ndarray:
+    """Fractional power of a symmetric positive-definite matrix.
 
-
-def spd_power(s, p: float) -> SymMatrix3:
-    """Fractional power of a symmetric positive-definite matrix."""
-    a = _sym_array(s)
-    w, v = _eigh(a)
+    The input and the result are symmetrised as (A + A^T) / 2, so both
+    are exactly symmetric.
+    """
+    a = as_matrix3(s)
+    w, v = _eigh(0.5 * (a + a.T))
     if w[0] <= 0.0 or w[2] <= SPD_REL_TOL * w[0]:
         raise NotPositiveDefinite(
             f"eigenvalues {tuple(w)} are not strictly positive"
         )
     powered = (v * w**p) @ v.T
-    return SymMatrix3.from_array(powered)
-
-
-def polar_stretch(h) -> SymMatrix3:
-    """The stretch factor of a polar decomposition: sqrt(H^T H).
-
-    Unique symmetric positive-definite matrix with the same singular
-    values as H.
-    """
-    a = as_matrix3(h)
-    _require_invertible(a)
-    return spd_power(SymMatrix3.from_array(a.T @ a), 0.5)
+    return 0.5 * (powered + powered.T)

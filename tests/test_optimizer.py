@@ -173,7 +173,7 @@ def test_left_rotation_equivariance():
     rep = optimizer.solve(TERE_F1, rot @ TERE_F2, DM2)
     assert rep.m_min == pytest.approx(base.m_min, abs=1e-9)
     assert np.abs(
-        rep.classes[0].stretch.array - base.classes[0].stretch.array
+        rep.classes[0].stretch - base.classes[0].stretch
     ).max() < 1e-9
 
 
@@ -321,6 +321,35 @@ def test_hint_worse_than_m0_leaves_bound_unchanged():
     worse = np.array([[3, 1, 0], [2, 1, 0], [0, 0, 1]])
     assert distance_to_identity(TERE_F2 @ worse @ inverse(TERE_F1), D1) > plain.m0
     assert optimizer.search_bound(TERE_F1, TERE_F2, D1, hint_mus=[worse]) == plain
+
+
+def test_search_bound_column_max_is_first_column_for_triclinic_cell():
+    # the first column of the published cell is (a, 0, 0), the longest one
+    bound = optimizer.search_bound(TERE_F1, TERE_F2, D1)
+    nu_min = np.linalg.svd(TERE_F2, compute_uv=False)[2]
+    assert bound.raw_bound == pytest.approx(7.730 / nu_min * (bound.m0 + 1.0), rel=1e-12)
+
+
+def test_integral_float_hint_counts_as_integer():
+    exact = optimizer.search_bound(FCC, BCC, D1, hint_mus=[BAIN_MU0])
+    assert optimizer.search_bound(FCC, BCC, D1, hint_mus=[BAIN_MU0.astype(float)]) == exact
+
+
+@pytest.mark.parametrize("hint", [
+    np.array([[1, 1, 1], [0, 1.9, 0], [0, 1, 1]]),
+    np.array([[1, 1, 1], [0, np.nan, 0], [0, 1, 1]]),
+])
+def test_non_integral_hint_is_rejected(hint):
+    # truncating 1.9 to 1 would read the Bain correspondence and lower k
+    with pytest.raises(ValueError, match="non-integer"):
+        optimizer.search_bound(FCC, BCC, D1, hint_mus=[hint])
+    with pytest.raises(ValueError, match="non-integer"):
+        optimizer.solve(FCC, BCC, D1, hint_mus=[hint])
+
+
+def test_hint_must_be_a_3x3_matrix():
+    with pytest.raises(ValueError, match="3x3"):
+        optimizer.search_bound(FCC, BCC, D1, hint_mus=[BAIN_MU0.ravel()])
 
 
 def test_hint_must_be_a_correspondence():

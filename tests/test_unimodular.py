@@ -114,6 +114,14 @@ def test_integer_inverse_rejects_other_determinants():
         unimodular.integer_inverse(np.diag([1, 1, -1]))
 
 
+def test_integer_inverse_rejects_non_integral_entries():
+    with pytest.raises(ValueError, match="non-integer"):
+        unimodular.integer_inverse([[1.5, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="3x3"):
+        unimodular.integer_inverse(np.eye(3).ravel())
+    assert np.array_equal(unimodular.integer_inverse(np.eye(3)), np.eye(3, dtype=np.int64))
+
+
 def test_double_inverse_is_identity_map():
     rng = np.random.default_rng(0)
     pool = unimodular.materialize_slk(2)
