@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,20 +99,28 @@ def fcc_basis() -> np.ndarray:
     return _FCC.copy()
 
 
+def _positive_finite(x) -> bool:
+    x = np.asarray(x)
+    return bool(np.all((0.0 < x) & (x < math.inf)))
+
+
 def bcc_basis(scale: float = 1.0) -> np.ndarray:
     """Body-centred cubic primitive cell; ``scale`` is the linear factor
     (the volume changes by scale**3)."""
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
+    if not _positive_finite(scale):
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
     return scale * _BCC
 
 
-def bct_basis(a_scale: float, c_scale: float) -> np.ndarray:
+def bct_basis(a_scale, c_scale) -> np.ndarray:
     """Body-centred tetragonal cell: the bcc cell stretched by a_scale in
-    the x and y directions and c_scale along the tetragonal axis."""
-    if a_scale <= 0.0 or c_scale <= 0.0:
-        raise ValueError("scales must be positive")
-    return np.diag([a_scale, a_scale, c_scale]) @ _BCC
+    the x and y directions and c_scale along the tetragonal axis (its rows
+    scaled by a_scale, a_scale, c_scale).  Array scales give the stack of
+    cells of the broadcast pairs, shape (..., 3, 3)."""
+    a, c = np.broadcast_arrays(np.asarray(a_scale, dtype=float), np.asarray(c_scale, dtype=float))
+    if not (_positive_finite(a) and _positive_finite(c)):
+        raise ValueError(f"scales must be positive and finite, got {a_scale!r}, {c_scale!r}")
+    return np.stack([a, a, c], axis=-1)[..., None] * _BCC
 
 
 def bain_spectrum(scale: float = 1.0) -> tuple:
@@ -132,17 +140,18 @@ def bain_min_distance(metric: StrainMetric, scale: float = 1.0) -> float:
     return math.sqrt((small - 1.0) ** 2 + 2.0 * (large - 1.0) ** 2)
 
 
-def bain_excited_distance(metric: StrainMetric, scale: float = 1.0) -> float:
-    """Closed-form first excited distance of the (scaled) cubic case."""
+def bain_excited_distance(metric: StrainMetric, scale=1.0):
+    """Closed-form first excited distance of the (scaled) cubic case; an
+    array of scales gives the array of distances."""
     lam = scale
     if metric.r == 1.0:
-        return 2.0**-1.5 * math.sqrt(
+        return 2.0**-1.5 * np.sqrt(
             25.0 * 2.0 ** (1.0 / 3.0) * lam**2
             - 4.0 * 2.0 ** (2.0 / 3.0) * (4.0 + math.sqrt(17.0)) * lam
             + 24.0
         )
     if metric.r == 2.0:
-        return 2.0**-3 * math.sqrt(
+        return 2.0**-3 * np.sqrt(
             305.0 * 2.0 ** (2.0 / 3.0) * lam**4 - 400.0 * 2.0 ** (1.0 / 3.0) * lam**2 + 192.0
         )
     raise ValueError("excited-state closed forms exist for exponents 1 and 2 only")
@@ -261,26 +270,32 @@ def sl1_transform_norm_max() -> float:
     return float(np.sqrt((prods**2).sum(axis=(1, 2)).max()))
 
 
-def _bct_ground_distance(a_scale: float, c_scale: float, r: float) -> float:
-    """Distance of diag(2^(1/6)A, 2^(1/6)A, 2^(-1/3)C) to the identity."""
+def _bct_ground_distance(a_scale, c_scale, r: float):
+    """Distance of diag(2^(1/6)A, 2^(1/6)A, 2^(-1/3)C) to the identity,
+    elementwise over array scales."""
     planar = (2.0 ** (1.0 / 6.0) * a_scale) ** r
     axial = (2.0 ** (-1.0 / 3.0) * c_scale) ** r
-    return math.sqrt(2.0 * (planar - 1.0) ** 2 + (axial - 1.0) ** 2)
+    return np.sqrt(2.0 * (planar - 1.0) ** 2 + (axial - 1.0) ** 2)
 
 
-def _margin(excited: float, r: float, lam: float, ref, target) -> float:
+def _gram(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2) @ m
+
+
+def _margin(excited, r: float, lam, ref, target):
     """Perturbation certificate margin against a reference problem.
 
     ``excited`` bounds the reference's first excited level from below;
     moving from ``ref`` to ``target`` at volume scale ``lam`` shifts any
     radius-1 distance by at most lam * factor * |ref - target|_F for
     r = 1, and by lam^2 * factor^2 * |ref^T ref - target^T target|_F for
-    r = 2, with factor = ``sl1_transform_norm_max()``.
+    r = 2, with factor = ``sl1_transform_norm_max()``.  Arrays broadcast:
+    cells stack along the leading axes of ``ref`` and ``target``.
     """
     factor = sl1_transform_norm_max()
     if r == 1.0:
         return excited - lam * factor * frobenius(ref - target)
-    return excited - lam**2 * factor**2 * frobenius(ref.T @ ref - target.T @ target)
+    return excited - lam**2 * factor**2 * frobenius(_gram(ref) - _gram(target))
 
 
 def bct_ground_spectrum(a_scale: float, c_scale: float) -> tuple:
@@ -324,22 +339,47 @@ class BctFlags:
 
 _EXTENDED_ANCHORS = (0.9, 1.1, 1.3)
 
-
-def _scale_anchors(A: float, C: float) -> list:
-    """The volume-scale anchors of (A, C), the fixed ones plus 0.995 sqrt(AC),
-    each with its scaled cell B_AC / lam."""
-    return [(lam, bct_basis(A / lam, C / lam))
-            for lam in _EXTENDED_ANCHORS + (0.995 * math.sqrt(A * C),)]
+#: Threshold slopes of the outside-radius-1 certificates, 2^(2/3) A - 1
+#: for the linear metric and 2^(4/3) A - 1 for the quadratic one.
+_OUTSIDE_SLOPE = {1.0: 2.0 ** (2.0 / 3.0), 2.0: 2.0 ** (4.0 / 3.0)}
 
 
-def _anchor_margins(anchors: list, r: float):
-    """Certificate margins against the volume-scaled cubic problems at the
-    ``anchors`` that lie inside ``BAIN_EXCITED_VALIDITY[r]``, in order."""
-    lo, hi = BAIN_EXCITED_VALIDITY[r]
+def _certificates(a: np.ndarray, c: np.ndarray, r: float) -> tuple:
+    """The certificate quantities of the cells (a[i], c[i]) for exponent r.
+
+    Returns arrays (m0, sl1, outside, excited): the ground distance, the
+    radius-1 perturbation margin against the equal-density cubic problem,
+    whether every correspondence outside the radius-1 box is worse, and
+    the best margin against a volume-scaled cubic problem (a lower bound
+    on the cell's first excited level; -inf where no anchor applies).
+    The anchors are the fixed ones plus 0.995 sqrt(AC), each used only
+    inside ``BAIN_EXCITED_VALIDITY[r]``.
+    """
     metric = StrainMetric(r)
-    for lam, scaled in anchors:
-        if lo < lam < hi:
-            yield _margin(bain_excited_distance(metric, lam), r, lam, _BCC, scaled)
+    m0 = _bct_ground_distance(a, c, r)
+    sl1 = _margin(bain_excited_distance(metric), r, 1.0, bct_basis(a, c), _BCC)
+    outside = _OUTSIDE_SLOPE[r] * a - 1.0 > m0
+    lo, hi = BAIN_EXCITED_VALIDITY[r]
+    excited = np.full(m0.shape, -math.inf)
+    for lam in _EXTENDED_ANCHORS + (0.995 * np.sqrt(a * c),):
+        valid = (lo < lam) & (lam < hi)
+        if np.any(valid):
+            margin = _margin(bain_excited_distance(metric, lam), r, lam, _BCC,
+                             bct_basis(a / lam, c / lam))
+            excited = np.where(valid, np.maximum(excited, margin), excited)
+    return m0, sl1, outside, excited
+
+
+def _cell_flags(a, c) -> list:
+    """The :class:`BctFlags` of the cells (a[i], c[i]), in order."""
+    a, c = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(c, dtype=float))
+    columns = [a.tolist(), c.tolist(), ((c >= a) & (a > 0.75)).tolist()]
+    extended = []
+    for r in (1.0, 2.0):
+        m0, sl1, outside, excited = _certificates(a, c, r)
+        columns += [(sl1 >= m0).tolist(), outside.tolist()]
+        extended.append((excited >= m0).tolist())
+    return list(map(BctFlags, *columns, *extended))
 
 
 def bct_stability_flags(a_scale: float, c_scale: float) -> BctFlags:
@@ -354,31 +394,7 @@ def bct_stability_flags(a_scale: float, c_scale: float) -> BctFlags:
     ``BAIN_EXCITED_VALIDITY``, where the excited closed form is a lower
     bound.
     """
-    A, C = float(a_scale), float(c_scale)
-    hypothesis = C >= A > 0.75
-    bac = bct_basis(A, C)
-    m0_1 = _bct_ground_distance(A, C, 1.0)
-    m0_2 = _bct_ground_distance(A, C, 2.0)
-
-    d1_sl1 = _margin(bain_excited_distance(StrainMetric(1.0)), 1.0, 1.0, bac, _BCC) >= m0_1
-    d2_sl1 = _margin(bain_excited_distance(StrainMetric(2.0)), 2.0, 1.0, bac, _BCC) >= m0_2
-    d1_outside = 2.0 ** (2.0 / 3.0) * A - 1.0 > m0_1
-    d2_outside = 2.0 ** (4.0 / 3.0) * A - 1.0 > m0_2
-
-    anchors = _scale_anchors(A, C)
-    ext1 = any(m >= m0_1 for m in _anchor_margins(anchors, 1.0))
-    ext2 = any(m >= m0_2 for m in _anchor_margins(anchors, 2.0))
-    return BctFlags(
-        a_scale=A,
-        c_scale=C,
-        hypothesis_ok=hypothesis,
-        d1_sl1=bool(d1_sl1),
-        d1_outside=bool(d1_outside),
-        d2_sl1=bool(d2_sl1),
-        d2_outside=bool(d2_outside),
-        extended_d1=bool(ext1),
-        extended_d2=bool(ext2),
-    )
+    return _cell_flags([float(a_scale)], [float(c_scale)])[0]
 
 
 REGION_COLUMNS = (
@@ -439,7 +455,8 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 def bct_region_scan(a_range: tuple = (0.7, 1.8), c_range: tuple = (0.7, 1.8),
                     step: float = 0.005, iterations: int = 0) -> RegionScanResult:
-    """Evaluate the certificates over a rectangular (A, C) grid.
+    """Evaluate the certificates over a rectangular (A, C) grid, one row
+    of equal A at a time.
 
     ``iterations`` > 0 re-anchors uncertified cells on already-certified
     ones, chaining the perturbation inequality through the certified
@@ -449,48 +466,55 @@ def bct_region_scan(a_range: tuple = (0.7, 1.8), c_range: tuple = (0.7, 1.8),
         raise ValueError("step must be positive")
     a_values = _grid(*a_range, step)
     c_values = _grid(*c_range, step)
-    cells = [bct_stability_flags(a, c) for a in a_values for c in c_values]
+    cells = [flags for a in a_values for flags in _cell_flags(a, c_values)]
     for _ in range(max(0, int(iterations))):
         cells = _refine_extended(cells)
     return RegionScanResult(a_values=a_values, c_values=c_values, flags=cells)
 
 
+#: Cell-anchor pairs compared at once by the refinement.
+_PAIR_BLOCK = 1 << 14
+
+
+def _chained(cells: list, anchors: list, r: float) -> np.ndarray:
+    """Whether some anchor certifies each cell for exponent r: the cell's
+    margin against the anchor, whose best excited-level bound stands in
+    for the cubic one, reaches the cell's ground distance."""
+    if not (cells and anchors):
+        return np.zeros(len(cells), dtype=bool)
+    a = np.array([cell.a_scale for cell in cells])
+    c = np.array([cell.c_scale for cell in cells])
+    ref_a = np.array([anchor.a_scale for anchor in anchors])
+    ref_c = np.array([anchor.c_scale for anchor in anchors])
+    excited = _certificates(ref_a, ref_c, r)[3]
+    ref = bct_basis(ref_a, ref_c)
+    m0 = _bct_ground_distance(a, c, r)
+    bac = bct_basis(a, c)
+    hit = np.empty(len(cells), dtype=bool)
+    step = max(1, _PAIR_BLOCK // len(anchors))
+    for lo in range(0, len(cells), step):
+        cut = slice(lo, lo + step)
+        margin = _margin(excited, r, 1.0, bac[cut, None], ref)
+        hit[cut] = (margin >= m0[cut, None]).any(axis=1)
+    return hit
+
+
 def _refine_extended(cells: list) -> list:
     """One pass of re-anchoring uncertified cells on certified ones."""
-    anchors1 = [c for c in cells if c.certified_d1][:: max(1, len(cells) // 512)]
-    anchors2 = [c for c in cells if c.certified_d2][:: max(1, len(cells) // 512)]
-
-    @cache
-    def reference(anchor: BctFlags, r: float) -> tuple:
-        """The best lower bound on the anchor's first excited level, and its basis."""
-        A, C = anchor.a_scale, anchor.c_scale
-        return max(_anchor_margins(_scale_anchors(A, C), r), default=-math.inf), bct_basis(A, C)
-
-    out = []
-    for cell in cells:
-        if not cell.hypothesis_ok or (cell.certified_d1 and cell.certified_d2):
-            out.append(cell)
-            continue
-        A, C = cell.a_scale, cell.c_scale
-        bac = bct_basis(A, C)
-        ext1, ext2 = cell.extended_d1, cell.extended_d2
-        if not ext1 and cell.d1_outside:
-            m0 = _bct_ground_distance(A, C, 1.0)
-            for anchor in anchors1:
-                excited, ref = reference(anchor, 1.0)
-                if _margin(excited, 1.0, 1.0, bac, ref) >= m0:
-                    ext1 = True
-                    break
-        if not ext2 and cell.d2_outside:
-            m0 = _bct_ground_distance(A, C, 2.0)
-            for anchor in anchors2:
-                excited, ref = reference(anchor, 2.0)
-                if _margin(excited, 2.0, 1.0, bac, ref) >= m0:
-                    ext2 = True
-                    break
+    stride = max(1, len(cells) // 512)
+    anchors1 = [c for c in cells if c.certified_d1][::stride]
+    anchors2 = [c for c in cells if c.certified_d2][::stride]
+    pending = [i for i, c in enumerate(cells)
+               if c.hypothesis_ok and not (c.certified_d1 and c.certified_d2)]
+    hits1 = _chained([cells[i] for i in pending], anchors1, 1.0).tolist()
+    hits2 = _chained([cells[i] for i in pending], anchors2, 2.0).tolist()
+    out = list(cells)
+    for i, hit1, hit2 in zip(pending, hits1, hits2):
+        cell = cells[i]
+        ext1 = cell.extended_d1 or (cell.d1_outside and hit1)
+        ext2 = cell.extended_d2 or (cell.d2_outside and hit2)
         if ext1 != cell.extended_d1 or ext2 != cell.extended_d2:
-            cell = replace(cell, extended_d1=ext1, extended_d2=ext2)
-        out.append(cell)
+            out[i] = replace(cell, extended_d1=ext1, extended_d2=ext2)
     return out
 
 

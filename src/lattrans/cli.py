@@ -31,7 +31,7 @@ import numpy as np
 from . import applications
 from .errors import BudgetExceeded, LatTransError, VerificationFailed
 from .lattice import CENTRINGS, LatticeSpec, TriclinicParams, resolve_primitive
-from .matrix3 import as_matrix3, det
+from .matrix3 import as_matrix3, det, is_singular
 from .metrics import StrainMetric
 from .optimizer import OptimalityReport, solve
 from .unimodular import DEFAULT_GUARD, count_slk
@@ -44,7 +44,23 @@ class InputError(ValueError):
 
 
 def parse_lattice(text: str, fix_handedness: bool = False) -> np.ndarray:
-    """Resolve a lattice argument to a primitive generator matrix."""
+    """Resolve a lattice argument to a primitive generator matrix.
+
+    A basis whose determinant or cubed Frobenius norm (both formed by
+    every search) overflows is refused as an input error.
+    """
+    try:
+        with np.errstate(over="raise"):
+            basis = _resolve_lattice(text, fix_handedness)
+            is_singular(basis)  # forms det(B) and |B|_F**3, as every search does
+    except (FloatingPointError, OverflowError):
+        raise InputError(
+            f"lattice {text!r} overflows double precision: det(B) or |B|_F**3 is not finite"
+        ) from None
+    return basis
+
+
+def _resolve_lattice(text: str, fix_handedness: bool) -> np.ndarray:
     token = text.strip()
     name, _, params = token.partition(":")
     lname = name.lower()

@@ -3,8 +3,9 @@
 The 3x3 formulas this package needs, all on plain ``numpy.ndarray``
 values: the cofactor determinant and the adjugate (both for one matrix or
 a stack, in the input's dtype, so integer results stay exact), the
-inverse, the singularity test, symmetric eigendecompositions, singular
-values and fractional powers of symmetric positive-definite matrices.
+Frobenius norm (also of a stack), the inverse, the singularity test,
+symmetric eigendecompositions, singular values and fractional powers of
+symmetric positive-definite matrices.
 Spectra come from LAPACK through numpy (``eigh`` and ``svd``).
 
 All operations are pure; values can be shared freely across threads.
@@ -72,9 +73,11 @@ def adjugate(m) -> np.ndarray:
     return adj
 
 
-def frobenius(m) -> float:
+def frobenius(m):
+    """Frobenius norm of a (3, 3) matrix, or of each matrix of a
+    (..., 3, 3) stack."""
     a = np.asarray(m, dtype=float)
-    return float(np.sqrt((a * a).sum()))
+    return np.sqrt((a * a).sum(axis=(-2, -1)))
 
 
 def is_singular(m) -> bool:

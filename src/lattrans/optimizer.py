@@ -175,8 +175,12 @@ def search_bound(f, g, metric: StrainMetric, hint_mus: Iterable | None = None) -
     col_max = float(np.sqrt((a * a).sum(axis=0)).max())
     raw = (col_max / float(singular_values(b)[2])) ** s * (m0_eff + 1.0)
     limit = raw ** (1.0 / s)
-    k = 1
-    while math.hypot(k + 1.0, 1.0) <= limit:
+    if not math.isfinite(limit):
+        raise BudgetExceeded(f"the certified search radius is unbounded (raw bound {raw!r})")
+    # hypot(j + 1, 1) <= limit holds for every j < limit - 1, so start there;
+    # past 2**52 floats cannot tell k + 1 from k + 2, and k is past any guard
+    k = max(1, math.floor(limit) - 1)
+    while k < 2**52 and math.hypot(k + 1.0, 1.0) <= limit:
         k += 1
     return SearchBound(k=k, m0=m0, raw_bound=raw, side=side)
 

@@ -14,10 +14,19 @@ practical guard keep intermediate products far from overflow.
 
 Matrices are emitted in lexicographic order on the row-major entries,
 independent of chunking, so folds over the stream are reproducible.
+
+Counting needs one first row per orbit of the signed column
+permutations.  For such a permutation P the map mu -> diag(1, 1, det P)
+mu P keeps det = +1 and every entry in [-k, k], and it takes the
+completions of the first row r1 one-to-one onto those of r1 P.  Every
+row of an orbit therefore has as many completions as the orbit's
+representative 0 <= a <= b <= c <= k (20 rows instead of 343 at k = 3),
+and the count weighs each representative by its orbit size.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -39,7 +48,12 @@ NAIVE_MAX_K = 2
 
 @dataclass(frozen=True)
 class EnumerationStats:
-    """Result of a counting run."""
+    """Result of a counting run.
+
+    ``candidates_examined`` counts the (second row, free pair) candidates
+    the pruned search tried, over the first rows it actually swept (one
+    per signed-permutation orbit); the naive oracle reports (2k+1)**9.
+    """
 
     k: int
     count: int
@@ -129,6 +143,15 @@ def _row_block(r1: np.ndarray, k: int):
     return mats, examined
 
 
+def _first_row_orbits(k: int) -> Iterator[tuple]:
+    """(representative, orbit size) of each orbit of the first rows in
+    [-k, k]^3 under signed permutations: the rows 0 <= a <= b <= c <= k,
+    each with (distinct permutations) * 2**(nonzero entries) members."""
+    for row in itertools.combinations_with_replacement(range(k + 1), 3):
+        permutations = len(set(itertools.permutations(row)))
+        yield np.array(row, dtype=np.int64), permutations * 2 ** sum(v > 0 for v in row)
+
+
 def iter_slk_blocks(k: int, guard: int = DEFAULT_GUARD) -> Iterator[np.ndarray]:
     """Stream SL^k as (n, 3, 3) blocks, one per first row, in lex order."""
     _check_k(k, guard)
@@ -193,7 +216,11 @@ def integer_inverse_batch(mus: np.ndarray) -> np.ndarray:
 
 
 def count_slk(k: int, naive: bool = False, guard: int = DEFAULT_GUARD) -> EnumerationStats:
-    """Count SL^k, reporting how many candidates the search examined."""
+    """Count SL^k, reporting how many candidates the search examined.
+
+    The pruned count completes one first row per signed-permutation orbit
+    and weighs it by the orbit size (see the module docstring).
+    """
     if naive:
         _check_k(k, min(guard, NAIVE_MAX_K))
         n = 2 * k + 1
@@ -201,8 +228,8 @@ def count_slk(k: int, naive: bool = False, guard: int = DEFAULT_GUARD) -> Enumer
     _check_k(k, guard)
     count = 0
     examined = 0
-    for r1 in _box_triples(k):
+    for r1, size in _first_row_orbits(k):
         block, ex = _row_block(r1, k)
-        count += block.shape[0]
+        count += size * block.shape[0]
         examined += ex
     return EnumerationStats(k=k, count=count, candidates_examined=examined)

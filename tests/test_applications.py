@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattrans import applications as app
 from lattrans import optimizer
@@ -351,3 +353,128 @@ def test_terephthalic_invariant_under_prerotation(terephthalic_reports):
     assert rep.m_min == pytest.approx(base, abs=1e-9)
     rep = optimizer.solve(f1, random_rotation(rng) @ f2, StrainMetric(1.0))
     assert rep.m_min == pytest.approx(base, abs=1e-9)
+
+
+# A scalar copy of the certificate formulas, cell by cell, as they stood
+# before the region scan became an array kernel: the oracle of the kernel.
+_ORACLE_BCC = 2.0 ** (-1.0 / 3.0) * 0.5 * np.array(
+    [[-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]]
+)
+
+
+def _oracle_basis(a_scale, c_scale):
+    return np.diag([a_scale, a_scale, c_scale]) @ _ORACLE_BCC
+
+
+def _oracle_frobenius(m):
+    return float(np.sqrt((m * m).sum()))
+
+
+def _oracle_excited(r, lam):
+    if r == 1.0:
+        return 2.0**-1.5 * math.sqrt(
+            25.0 * 2.0 ** (1.0 / 3.0) * lam**2
+            - 4.0 * 2.0 ** (2.0 / 3.0) * (4.0 + math.sqrt(17.0)) * lam
+            + 24.0
+        )
+    return 2.0**-3 * math.sqrt(
+        305.0 * 2.0 ** (2.0 / 3.0) * lam**4 - 400.0 * 2.0 ** (1.0 / 3.0) * lam**2 + 192.0
+    )
+
+
+def _oracle_margin(excited, r, lam, ref, target):
+    factor = math.sqrt(27.0)
+    if r == 1.0:
+        return excited - lam * factor * _oracle_frobenius(ref - target)
+    return excited - lam**2 * factor**2 * _oracle_frobenius(ref.T @ ref - target.T @ target)
+
+
+def _oracle_certificates(A, C, r):
+    """(m0, sl1 margin, outside flag, best anchor margin) of one cell."""
+    planar = (2.0 ** (1.0 / 6.0) * A) ** r
+    axial = (2.0 ** (-1.0 / 3.0) * C) ** r
+    m0 = math.sqrt(2.0 * (planar - 1.0) ** 2 + (axial - 1.0) ** 2)
+    sl1 = _oracle_margin(_oracle_excited(r, 1.0), r, 1.0, _oracle_basis(A, C), _ORACLE_BCC)
+    outside = {1.0: 2.0 ** (2.0 / 3.0), 2.0: 2.0 ** (4.0 / 3.0)}[r] * A - 1.0 > m0
+    lo, hi = app.BAIN_EXCITED_VALIDITY[r]
+    excited = max((_oracle_margin(_oracle_excited(r, lam), r, lam, _ORACLE_BCC,
+                                  _oracle_basis(A / lam, C / lam))
+                   for lam in app._EXTENDED_ANCHORS + (0.995 * math.sqrt(A * C),)
+                   if lo < lam < hi), default=-math.inf)
+    return m0, sl1, outside, excited
+
+
+def _oracle_flags(A, C):
+    (m1, sl1_1, out1, ex1), (m2, sl1_2, out2, ex2) = (
+        _oracle_certificates(A, C, r) for r in (1.0, 2.0))
+    return (C >= A > 0.75, sl1_1 >= m1, out1, sl1_2 >= m2, out2, ex1 >= m1, ex2 >= m2)
+
+
+def _flag_tuple(flags):
+    return (flags.hypothesis_ok, flags.d1_sl1, flags.d1_outside, flags.d2_sl1,
+            flags.d2_outside, flags.extended_d1, flags.extended_d2)
+
+
+_SCALE = st.floats(0.7, 1.8)
+
+
+@st.composite
+def _region_cells(draw):
+    kind = draw(st.sampled_from(["free", "c_equals_a", "a_at_gate", "anchor_at_window_end"]))
+    if kind == "free":
+        return draw(_SCALE), draw(_SCALE)
+    if kind == "c_equals_a":
+        a_scale = draw(_SCALE)
+        return a_scale, a_scale
+    if kind == "a_at_gate":
+        return 0.75, draw(_SCALE)
+    # 0.995 sqrt(AC) on the lower end of an excited-level window, give or
+    # take an ulp or two
+    end = app.BAIN_EXCITED_VALIDITY[draw(st.sampled_from([1.0, 2.0]))][0]
+    return _window_end_cell(end, draw(st.floats(0.0, 1.0)), draw(st.integers(-3, 3)))
+
+
+def _window_end_cell(end, at, steps):
+    """A cell of [0.7, 1.8]^2 with 0.995 sqrt(AC) = ``end``, A at fraction
+    ``at`` of its range, and C then moved by ``steps`` ulps."""
+    product = (end / 0.995) ** 2
+    lo, hi = max(0.7, product / 1.8) + 1e-9, min(1.8, product / 0.7) - 1e-9
+    a_scale = lo + at * (hi - lo)
+    c_scale = product / a_scale
+    for _ in range(abs(steps)):
+        c_scale = math.nextafter(c_scale, math.copysign(math.inf, steps))
+    return a_scale, c_scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(_region_cells())
+def test_region_kernel_matches_scalar_oracle(cell):
+    a_scale, c_scale = cell
+    flags = app.bct_stability_flags(a_scale, c_scale)
+    assert (flags.a_scale, flags.c_scale) == (a_scale, c_scale)
+    assert _flag_tuple(flags) == _oracle_flags(a_scale, c_scale)
+    # the kernel squares in numpy rather than with libm pow, so its margins
+    # may differ in the last bits: 1e-12 is a few hundred ulps of the
+    # largest term, the r = 2 anchor penalty of about 100
+    for r in (1.0, 2.0):
+        got = app._certificates(np.array([a_scale]), np.array([c_scale]), r)
+        want = _oracle_certificates(a_scale, c_scale, r)
+        assert bool(got[2][0]) == want[2]
+        for value, reference in zip((got[0][0], got[1][0], got[3][0]), want[:2] + want[3:]):
+            assert value == pytest.approx(reference, rel=0.0, abs=1e-12)
+    # a one-cell scan lands on the grid value, rounded to 12 decimals
+    (scanned,) = app.bct_region_scan(a_range=(a_scale, a_scale), c_range=(c_scale, c_scale),
+                                     step=1.0).flags
+    assert _flag_tuple(scanned) == _oracle_flags(scanned.a_scale, scanned.c_scale)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+@pytest.mark.parametrize("at", [0.0, 0.5, 1.0])
+def test_window_end_cells_straddle_the_end(r, at):
+    # the boundary draws of the oracle test put the anchor on both sides
+    end = app.BAIN_EXCITED_VALIDITY[r][0]
+    sides = set()
+    for steps in range(-3, 4):
+        a_scale, c_scale = _window_end_cell(end, at, steps)
+        sides.add(float(np.sign(0.995 * math.sqrt(a_scale * c_scale) - end)))
+    assert {-1.0, 1.0} <= sides

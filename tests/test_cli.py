@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattrans import cli
 
@@ -246,3 +248,128 @@ def test_structured_output_is_valid_json(capsys):
     assert doc["schema"] == "lattrans.solve.v1"
     assert doc["bound"]["side"] == "inverse"
     assert doc["certified"] is True
+
+
+# Bad lattice tokens for the CLI fuzz below: each must exit 2 with one
+# error line, no traceback and no warning (warnings are errors here).
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "-nan"])
+_LENGTH = st.floats(0.5, 20.0).map(str)
+_ANGLE = st.floats(60.0, 120.0).map(str)
+_HUGE = st.floats(1e103, 1e308).map(str)
+
+
+@st.composite
+def _with_some(draw, fields, replacement):
+    """``fields`` with a non-empty subset replaced by draws of ``replacement``."""
+    fields = list(fields)
+    picks = draw(st.sets(st.integers(0, len(fields) - 1), min_size=1))
+    for i in picks:
+        fields[i] = draw(replacement)
+    return fields
+
+
+@st.composite
+def _non_finite_cells(draw):
+    six = draw(st.tuples(_LENGTH, _LENGTH, _LENGTH, _ANGLE, _ANGLE, _ANGLE))
+    fields = draw(_with_some(six, _NON_FINITE))
+    return " ".join(fields + draw(st.sampled_from([[], ["P"], ["F"], ["i"]])))
+
+
+@st.composite
+def _non_finite_bases(draw):
+    nine = [str(v) for v in (np.eye(3).ravel() + draw(
+        st.lists(st.floats(-0.2, 0.2), min_size=9, max_size=9))).tolist()]
+    return ", ".join(draw(_with_some(nine, _NON_FINITE)))
+
+
+@st.composite
+def _degenerate_angles(draw):
+    lengths = draw(st.tuples(_LENGTH, _LENGTH, _LENGTH))
+    kind = draw(st.sampled_from(["edge", "one_too_wide", "sum_too_wide"]))
+    if kind == "edge":
+        angles = draw(_with_some(draw(st.tuples(_ANGLE, _ANGLE, _ANGLE)),
+                                 st.sampled_from(["0", "180", "-90", "270", "0.0", "180.0"])))
+    elif kind == "one_too_wide":
+        # one angle wider than the other two together: the cell does not close
+        x, y = draw(st.floats(1.0, 80.0)), draw(st.floats(1.0, 80.0))
+        z = draw(st.floats(x + y + 1.0, 179.0))
+        angles = [str(v) for v in draw(st.permutations([x, y, z]))]
+    else:
+        # three angles adding up to more than 360 degrees
+        angles = [str(v) for v in draw(st.tuples(*[st.floats(121.0, 179.0)] * 3))]
+    return " ".join(list(lengths) + list(angles))
+
+
+@st.composite
+def _bad_centring(draw):
+    six = draw(st.tuples(_LENGTH, _LENGTH, _LENGTH, _ANGLE, _ANGLE, _ANGLE))
+    letter = draw(st.text(alphabet="ABDEGHJKLMNOQRSTUVWXYZabdeghjklmnoqrstuvwxyz?*#",
+                          min_size=1, max_size=3))
+    return " ".join(list(six) + [letter])
+
+
+@st.composite
+def _bad_builtin(draw):
+    bad = st.one_of(_NON_FINITE, st.floats(-10.0, 0.0).map(str))
+    if draw(st.booleans()):
+        return "bcc:" + draw(bad)
+    fields = draw(_with_some([draw(_LENGTH), draw(_LENGTH)], bad))
+    return "bct:" + ":".join(fields)
+
+
+@st.composite
+def _huge_cells(draw):
+    kind = draw(st.sampled_from(["triclinic", "basis", "bcc", "bct"]))
+    if kind == "triclinic":
+        lengths = draw(_with_some(draw(st.tuples(_LENGTH, _LENGTH, _LENGTH)), _HUGE))
+        return " ".join(lengths + [draw(_ANGLE) for _ in range(3)])
+    if kind == "basis":
+        return " ".join(draw(_with_some([str(v) for v in np.eye(3).ravel().tolist()], _HUGE)))
+    if kind == "bcc":
+        return "bcc:" + draw(_HUGE)
+    return "bct:" + ":".join(draw(_with_some([draw(_LENGTH), draw(_LENGTH)], _HUGE)))
+
+
+_BAD_LATTICES = st.one_of(_non_finite_cells(), _non_finite_bases(), _degenerate_angles(),
+                          _bad_centring(), _bad_builtin(), _huge_cells())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_BAD_LATTICES)
+def test_bad_lattice_token_exits_2_with_one_error_line(token):
+    code, out, err = run_quiet(["solve", token, "fcc"])
+    assert code == 2, (token, err)
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def run_quiet(argv):
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("token", ["bct:inf:1", "bct:1:nan", "bcc:inf"])
+def test_non_finite_builtin_scale_is_an_input_error(token, capsys):
+    code, _, err = run(["solve", token, "fcc"], capsys)
+    assert code == 2
+    assert "finite" in err
+
+
+def test_overflowing_cell_is_an_input_error(capsys):
+    code, _, err = run(["solve", "1e308 1e308 1e308 90 90 90", "fcc"], capsys)
+    assert code == 2
+    assert "overflows" in err
+    assert "singular" not in err
+
+
+def test_far_out_of_scale_cell_exceeds_the_budget_at_once(capsys):
+    # the certified radius is about 5.5e50: the bound is computed, not
+    # counted up to, and the search refuses it
+    code, _, err = run(["solve", "1e50 1e50 1e50 90 90 90", "fcc"], capsys)
+    assert code == 3
+    assert "exceeds the practical guard" in err

@@ -144,3 +144,33 @@ def test_stats_fields():
     pruned = unimodular.count_slk(2)
     assert pruned.count == 67704
     assert 0 < pruned.candidates_examined < 5**9
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_every_first_row_completes_like_its_orbit_representative(k):
+    # mu -> diag(1, 1, det P) mu P maps the completions of r1 onto those of
+    # r1 P for every signed permutation P, so a first row has as many
+    # completions (and as many sweeps) as the sorted |r1|
+    orbits = list(unimodular._first_row_orbits(k))
+    assert sum(size for _, size in orbits) == (2 * k + 1) ** 3
+    want = {}
+    for rep, _ in orbits:
+        block, examined = unimodular._row_block(rep, k)
+        want[tuple(rep.tolist())] = (block.shape[0], examined)
+    for r1 in unimodular._box_triples(k):
+        block, examined = unimodular._row_block(r1, k)
+        assert (block.shape[0], examined) == want[tuple(sorted(np.abs(r1).tolist()))], r1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_orbit_count_equals_sum_over_every_first_row(k):
+    total = sum(unimodular._row_block(r1, k)[0].shape[0] for r1 in unimodular._box_triples(k))
+    assert unimodular.count_slk(k).count == total
+
+
+def test_count_examines_one_first_row_per_orbit():
+    # 20 representatives 0 <= a <= b <= c <= 3 instead of the 343 rows
+    reps = [rep for rep, _ in unimodular._first_row_orbits(3)]
+    assert len(reps) == 20
+    examined = sum(unimodular._row_block(rep, 3)[1] for rep in reps)
+    assert unimodular.count_slk(3).candidates_examined == examined
