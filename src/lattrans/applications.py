@@ -306,7 +306,7 @@ def bct_ground_spectrum(a_scale: float, c_scale: float) -> tuple:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BctFlags:
     """Certificates for one (A, C) pair of tetragonal lattice parameters.
 
