@@ -114,9 +114,8 @@ def bcc_basis(scale: float = 1.0) -> np.ndarray:
 
 def bct_basis(a_scale, c_scale) -> np.ndarray:
     """Body-centred tetragonal cell: the bcc cell stretched by a_scale in
-    the x and y directions and c_scale along the tetragonal axis (its rows
-    scaled by a_scale, a_scale, c_scale).  Array scales give the stack of
-    cells of the broadcast pairs, shape (..., 3, 3)."""
+    the x and y directions and c_scale along the tetragonal axis; array
+    scales give the stack of cells, shape (..., 3, 3)."""
     a, c = np.broadcast_arrays(np.asarray(a_scale, dtype=float), np.asarray(c_scale, dtype=float))
     if not (_positive_finite(a) and _positive_finite(c)):
         raise ValueError(f"scales must be positive and finite, got {a_scale!r}, {c_scale!r}")
@@ -289,8 +288,7 @@ def _margin(excited, r: float, lam, ref, target):
     moving from ``ref`` to ``target`` at volume scale ``lam`` shifts any
     radius-1 distance by at most lam * factor * |ref - target|_F for
     r = 1, and by lam^2 * factor^2 * |ref^T ref - target^T target|_F for
-    r = 2, with factor = ``sl1_transform_norm_max()``.  Arrays broadcast:
-    cells stack along the leading axes of ``ref`` and ``target``.
+    r = 2, with factor = ``sl1_transform_norm_max()``.  Arrays broadcast.
     """
     factor = sl1_transform_norm_max()
     if r == 1.0:
@@ -339,22 +337,15 @@ class BctFlags:
 
 _EXTENDED_ANCHORS = (0.9, 1.1, 1.3)
 
-#: Threshold slopes of the outside-radius-1 certificates, 2^(2/3) A - 1
-#: for the linear metric and 2^(4/3) A - 1 for the quadratic one.
+#: Slopes of the outside certificates, 2^(2/3) A - 1 and 2^(4/3) A - 1.
 _OUTSIDE_SLOPE = {1.0: 2.0 ** (2.0 / 3.0), 2.0: 2.0 ** (4.0 / 3.0)}
 
 
 def _certificates(a: np.ndarray, c: np.ndarray, r: float) -> tuple:
-    """The certificate quantities of the cells (a[i], c[i]) for exponent r.
-
-    Returns arrays (m0, sl1, outside, excited): the ground distance, the
-    radius-1 perturbation margin against the equal-density cubic problem,
-    whether every correspondence outside the radius-1 box is worse, and
-    the best margin against a volume-scaled cubic problem (a lower bound
-    on the cell's first excited level; -inf where no anchor applies).
-    The anchors are the fixed ones plus 0.995 sqrt(AC), each used only
-    inside ``BAIN_EXCITED_VALIDITY[r]``.
-    """
+    """Arrays (m0, sl1, outside, excited) over the cells (a[i], c[i]) for
+    exponent r: the ground distance, the radius-1 margin, the outside
+    flag, and the best anchor margin (-inf where no anchor applies), as
+    described in :func:`bct_stability_flags`."""
     metric = StrainMetric(r)
     m0 = _bct_ground_distance(a, c, r)
     sl1 = _margin(bain_excited_distance(metric), r, 1.0, bct_basis(a, c), _BCC)
@@ -472,7 +463,8 @@ def bct_region_scan(a_range: tuple = (0.7, 1.8), c_range: tuple = (0.7, 1.8),
     return RegionScanResult(a_values=a_values, c_values=c_values, flags=cells)
 
 
-#: Cell-anchor pairs compared at once by the refinement.
+#: Cell-anchor pairs compared at once by the refinement, so that each
+#: (pairs, 3, 3) temporary stays near 1 MB.
 _PAIR_BLOCK = 1 << 14
 
 

@@ -48,12 +48,8 @@ NAIVE_MAX_K = 2
 
 @dataclass(frozen=True)
 class EnumerationStats:
-    """Result of a counting run.
-
-    ``candidates_examined`` counts the (second row, free pair) candidates
-    the pruned search tried, over the first rows it actually swept (one
-    per signed-permutation orbit); the naive oracle reports (2k+1)**9.
-    """
+    """Result of a counting run; ``candidates_examined`` counts the
+    candidates of the first rows actually swept."""
 
     k: int
     count: int
@@ -144,9 +140,8 @@ def _row_block(r1: np.ndarray, k: int):
 
 
 def _first_row_orbits(k: int) -> Iterator[tuple]:
-    """(representative, orbit size) of each orbit of the first rows in
-    [-k, k]^3 under signed permutations: the rows 0 <= a <= b <= c <= k,
-    each with (distinct permutations) * 2**(nonzero entries) members."""
+    """(representative 0 <= a <= b <= c <= k, orbit size) of each orbit of
+    the first rows under signed permutations."""
     for row in itertools.combinations_with_replacement(range(k + 1), 3):
         permutations = len(set(itertools.permutations(row)))
         yield np.array(row, dtype=np.int64), permutations * 2 ** sum(v > 0 for v in row)
@@ -216,11 +211,7 @@ def integer_inverse_batch(mus: np.ndarray) -> np.ndarray:
 
 
 def count_slk(k: int, naive: bool = False, guard: int = DEFAULT_GUARD) -> EnumerationStats:
-    """Count SL^k, reporting how many candidates the search examined.
-
-    The pruned count completes one first row per signed-permutation orbit
-    and weighs it by the orbit size (see the module docstring).
-    """
+    """Count SL^k, reporting how many candidates the search examined."""
     if naive:
         _check_k(k, min(guard, NAIVE_MAX_K))
         n = 2 * k + 1

@@ -1,3 +1,6 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -334,6 +337,14 @@ _BAD_LATTICES = st.one_of(_non_finite_cells(), _non_finite_bases(), _degenerate_
                           _bad_centring(), _bad_builtin(), _huge_cells())
 
 
+def run_quiet(argv):
+    """``run`` without the function-scoped capsys fixture, for @given tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=400, deadline=None)
 @given(_BAD_LATTICES)
 def test_bad_lattice_token_exits_2_with_one_error_line(token):
@@ -341,16 +352,6 @@ def test_bad_lattice_token_exits_2_with_one_error_line(token):
     assert code == 2, (token, err)
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
-
-
-def run_quiet(argv):
-    import contextlib
-    import io
-
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("token", ["bct:inf:1", "bct:1:nan", "bcc:inf"])
