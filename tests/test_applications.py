@@ -466,15 +466,3 @@ def test_region_kernel_matches_scalar_oracle(cell):
     (scanned,) = app.bct_region_scan(a_range=(a_scale, a_scale), c_range=(c_scale, c_scale),
                                      step=1.0).flags
     assert _flag_tuple(scanned) == _oracle_flags(scanned.a_scale, scanned.c_scale)
-
-
-@pytest.mark.parametrize("r", [1.0, 2.0])
-@pytest.mark.parametrize("at", [0.0, 0.5, 1.0])
-def test_window_end_cells_straddle_the_end(r, at):
-    # the boundary draws of the oracle test put the anchor on both sides
-    end = app.BAIN_EXCITED_VALIDITY[r][0]
-    sides = set()
-    for steps in range(-3, 4):
-        a_scale, c_scale = _window_end_cell(end, at, steps)
-        sides.add(float(np.sign(0.995 * math.sqrt(a_scale * c_scale) - end)))
-    assert {-1.0, 1.0} <= sides
