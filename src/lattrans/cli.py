@@ -31,7 +31,7 @@ import numpy as np
 from . import applications
 from .errors import BudgetExceeded, LatTransError, VerificationFailed
 from .lattice import CENTRINGS, LatticeSpec, TriclinicParams, resolve_primitive
-from .matrix3 import as_matrix3, det, is_singular
+from .matrix3 import as_matrix3, det
 from .metrics import StrainMetric
 from .optimizer import OptimalityReport, solve
 from .unimodular import DEFAULT_GUARD, count_slk
@@ -46,18 +46,14 @@ class InputError(ValueError):
 def parse_lattice(text: str, fix_handedness: bool = False) -> np.ndarray:
     """Resolve a lattice argument to a primitive generator matrix.
 
-    A basis whose determinant or cubed Frobenius norm (both formed by
-    every search) overflows is refused as an input error.
+    A lattice whose conversion to a basis overflows is refused as an
+    input error; the search refuses a basis whose determinant overflows.
     """
     try:
         with np.errstate(over="raise"):
-            basis = _resolve_lattice(text, fix_handedness)
-            is_singular(basis)  # forms det(B) and |B|_F**3, as every search does
+            return _resolve_lattice(text, fix_handedness)
     except (FloatingPointError, OverflowError):
-        raise InputError(
-            f"lattice {text!r} overflows double precision: det(B) or |B|_F**3 is not finite"
-        ) from None
-    return basis
+        raise InputError(f"lattice {text!r} overflows double precision") from None
 
 
 def _resolve_lattice(text: str, fix_handedness: bool) -> np.ndarray:
@@ -317,6 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--guard", type=int, default=DEFAULT_GUARD, help=argparse.SUPPRESS)
 
     p_solve = sub.add_parser("solve", help="solve for the optimal transformations")
+    # a comma-joined basis may start with a minus sign ("-1,0,0,0,-1,0,0,0,1"):
+    # argparse takes it for a positional, as it does a negative number
+    p_solve._negative_number_matcher = re.compile(
+        p_solve._negative_number_matcher.pattern + r"|^-[^-].*,")
     p_solve.add_argument("parent", help="parent lattice")
     p_solve.add_argument("product", help="product lattice")
     p_solve.add_argument("--r", type=float, default=1.0,

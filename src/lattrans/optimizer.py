@@ -35,7 +35,6 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import BudgetExceeded, NotRightHanded, SingularMatrix
-from .lattice import cubic_point_group
 from .matrix3 import as_matrix3, det, frobenius, inverse, is_singular, singular_values, spd_power
 from .metrics import StrainMetric, distance_to_identity, distance_to_identity_many, tie_tolerance
 from .unimodular import DEFAULT_GUARD, _box_triples, _require_unimodular, integer_inverse_batch
@@ -44,10 +43,6 @@ from .unimodular import DEFAULT_GUARD, _box_triples, _require_unimodular, intege
 #: tensors agree to this relative tolerance (looser than the distance tie
 #: tolerance because stretches compound rounding through the square root).
 CLASS_REL_TOL = 1e-6
-
-#: Integrality tolerance when conjugating correspondences by point-group
-#: rotations.
-ORBIT_INT_TOL = 1e-6
 
 #: Relative widening of the shell threshold that absorbs the rounding of
 #: the column bounds and of the evaluator (both near 1e-15 relative).
@@ -146,7 +141,12 @@ def _merge(a: _Fold, b: _Fold) -> _Fold:
 
 def _require_generator(m, name: str) -> np.ndarray:
     a = as_matrix3(m)
-    if is_singular(a):
+    try:
+        with np.errstate(over="raise"):
+            singular = is_singular(a)  # forms det(A) and |A|_F**3, as every search does
+    except FloatingPointError:
+        raise ValueError(f"{name} generator overflows double precision") from None
+    if singular:
         raise SingularMatrix(f"{name} generator is singular to working precision")
     if det(a) < 0.0:
         raise NotRightHanded(f"{name} generator must have positive determinant")
@@ -246,6 +246,14 @@ def _shell_search(f, g, metric: StrainMetric, k: int, bound: SearchBound) -> _Fo
         t = fold.m_second if math.isfinite(fold.m_second) else float(lower[~inside].min())
 
 
+def _lex_unique(mus: np.ndarray) -> np.ndarray:
+    """Indices of the distinct matrices of a stack, in row-major lex order."""
+    rows = mus.reshape(-1, 9)
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    return order[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+
+
 def solve(f, g, metric: StrainMetric, *, k: int | None = None,
           guard: int = DEFAULT_GUARD, hint_mus: Iterable | None = None) -> OptimalityReport:
     """Find every optimal lattice transformation from L(F) to L(G).
@@ -272,10 +280,8 @@ def solve(f, g, metric: StrainMetric, *, k: int | None = None,
     if fold.count == 0:
         raise RuntimeError("candidate enumeration produced no matrices")
 
-    order = np.lexsort(tuple(fold.mus.reshape(-1, 9).T[::-1]))
-    mus = fold.mus[order]
-    hs = fold.hs[order]
-    minimizers = [Minimizer(mu=mus[i].copy(), h=hs[i].copy()) for i in range(mus.shape[0])]
+    minimizers = [Minimizer(mu=fold.mus[i].copy(), h=fold.hs[i].copy())
+                  for i in _lex_unique(fold.mus)]
 
     classes = group_classes([m.h for m in minimizers])
     m_min = fold.m_min
@@ -284,20 +290,9 @@ def solve(f, g, metric: StrainMetric, *, k: int | None = None,
     tie_unresolved = gap is not None and gap <= tie_tolerance(m_min)
 
     return OptimalityReport(
-        parent=f,
-        product=g,
-        metric=metric,
-        bound=bound,
-        k_used=k_used,
-        certified=certified,
-        minimizers=minimizers,
-        classes=classes,
-        m_min=m_min,
-        m_second=m_second,
-        gap=gap,
-        tie_unresolved=tie_unresolved,
-        candidates=fold.count,
-    )
+        parent=f, product=g, metric=metric, bound=bound, k_used=k_used, certified=certified,
+        minimizers=minimizers, classes=classes, m_min=m_min, m_second=m_second, gap=gap,
+        tie_unresolved=tie_unresolved, candidates=fold.count)
 
 
 def group_classes(transformations) -> list[StretchClass]:
@@ -327,31 +322,36 @@ def group_classes(transformations) -> list[StretchClass]:
 
 class OrbitResult(NamedTuple):
     mus: list
-    dropped: int
+
+
+def _point_group(f: np.ndarray) -> np.ndarray:
+    """The rotations of L(F) as integer matrices U with F U F^-1 a rotation.
+
+    They are the distance-zero solutions of the problem F -> F, so the
+    radius certified for it (m0 = 0) holds them all, and their columns
+    lie in the zero-width shells: |F u_j| = |f_j|.
+    """
+    metric = StrainMetric(1.0)
+    k = search_bound(f, f, metric).k
+    if k > DEFAULT_GUARD:
+        raise BudgetExceeded(f"the lattice's own search radius k={k} exceeds the guard")
+    box = _box_triples(k)
+    shells = [box[m] for m in _column_bounds(f, f, 1.0, box) <= _SLACK]
+    return _fold_triples(shells, f, f, metric, "direct").mus
 
 
 def point_group_orbit(mu0, f, g) -> OrbitResult:
-    """Correspondences generated from mu0 by cubic point-group actions.
+    """The correspondences U_G mu0 U_F, in lexicographic order, over the
+    rotation groups U_F, U_G of L(F), L(G) as integer matrices (matrices
+    in the tie band of distance zero).  Each has the transformation
+    R_G (G mu0 F^-1) R_F for rotations R_G, R_F, so the same distance.
 
-    Conjugates mu0 by all pairs of cube rotations expressed in the two
-    lattice bases: mu = (G^-1 P G) mu0 (F^-1 Q F).  Candidates that do
-    not round to an integer matrix of determinant one (rotations outside
-    a lattice's point group) are dropped and counted.
+    ``mu0`` must be a determinant-one integer matrix (ValueError
+    otherwise); BudgetExceeded when a lattice's own certified radius
+    exceeds the default guard.
     """
-    mu0 = np.asarray(mu0, dtype=float)
-    f = _require_generator(f, "parent")
-    g = _require_generator(g, "product")
-    finv = inverse(f)
-    ginv = inverse(g)
-    group = cubic_point_group().astype(float)
-    lefts = ginv @ group @ g
-    rights = finv @ group @ f
-    cands = (lefts[:, None] @ mu0 @ rights[None, :]).reshape(-1, 3, 3)
-    rounded = np.rint(cands)
-    integral = np.abs(cands - rounded).max(axis=(1, 2)) <= ORBIT_INT_TOL
-    mus = rounded[integral].astype(np.int64)
-    mus = mus[det(mus) == 1]
-    seen = {tuple(mu.ravel()): mu for mu in mus}
-    dropped = cands.shape[0] - mus.shape[0]
-    mus = [seen[key] for key in sorted(seen)]
-    return OrbitResult(mus=mus, dropped=dropped)
+    mu0 = _require_unimodular(mu0)
+    left = _point_group(_require_generator(g, "product"))
+    right = _point_group(_require_generator(f, "parent"))
+    mus = (left[:, None] @ mu0 @ right[None, :]).reshape(-1, 3, 3)
+    return OrbitResult(mus=list(mus[_lex_unique(mus)]))

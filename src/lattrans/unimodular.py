@@ -81,28 +81,22 @@ def _box_pairs(k: int) -> np.ndarray:
 _FREE_COORDS = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
 
-def _row_block(r1: np.ndarray, k: int):
-    """All matrices in SL^k with first row r1, in (r2, r3) lex order.
+def _completions(r1: np.ndarray, k: int):
+    """Every completion of first row r1 to a matrix in SL^k, unordered.
 
-    Returns (matrices, candidates_examined).
+    Returns (r2 as indices into the box, r3 rows, candidates_examined).
     """
     rows = _box_triples(k)
     pairs = _box_pairs(k)
     c = np.cross(r1[None, :], rows)
-    valid = (c != 0).any(axis=1)
-    if not valid.any():
-        return np.empty((0, 3, 3), dtype=np.int64), 0
-
-    r2_all = rows[valid]
+    valid = np.nonzero((c != 0).any(axis=1))[0]
     c = c[valid]
     pivot = (c != 0).argmax(axis=1)
 
     examined = 0
-    chunks = []
+    r2s, r3s = [], []
     for j in (0, 1, 2):
-        sel = pivot == j
-        if not sel.any():
-            continue
+        sel = np.nonzero(pivot == j)[0]
         u, v = _FREE_COORDS[j]
         cj = c[sel, j][:, None]
         num = (
@@ -112,30 +106,27 @@ def _row_block(r1: np.ndarray, k: int):
         )
         examined += num.size
         quot, rem = np.divmod(num, cj)
-        ok = (rem == 0) & (np.abs(quot) <= k)
-        pi, gi = np.nonzero(ok)
-        if pi.size == 0:
-            continue
+        pi, gi = np.nonzero((rem == 0) & (np.abs(quot) <= k))
         r3 = np.empty((pi.size, 3), dtype=np.int64)
         r3[:, u] = pairs[gi, 0]
         r3[:, v] = pairs[gi, 1]
         r3[:, j] = quot[pi, gi]
-        r2_idx = np.nonzero(sel)[0][pi]
-        chunks.append((r2_idx, r3))
+        r2s.append(valid[sel[pi]])
+        r3s.append(r3)
+    return np.concatenate(r2s), np.concatenate(r3s), examined
 
-    if not chunks:
-        return np.empty((0, 3, 3), dtype=np.int64), examined
 
-    r2_idx = np.concatenate([c0 for c0, _ in chunks])
-    r3 = np.concatenate([c1 for _, c1 in chunks])
-    order = np.lexsort((r3[:, 2], r3[:, 1], r3[:, 0], r2_idx))
-    r2_idx = r2_idx[order]
-    r3 = r3[order]
+def _row_block(r1: np.ndarray, k: int):
+    """All matrices in SL^k with first row r1, in (r2, r3) lex order.
 
-    mats = np.empty((r3.shape[0], 3, 3), dtype=np.int64)
+    Returns (matrices, candidates_examined).
+    """
+    r2, r3, examined = _completions(r1, k)
+    order = np.lexsort((r3[:, 2], r3[:, 1], r3[:, 0], r2))
+    mats = np.empty((order.size, 3, 3), dtype=np.int64)
     mats[:, 0, :] = r1
-    mats[:, 1, :] = r2_all[r2_idx]
-    mats[:, 2, :] = r3
+    mats[:, 1, :] = _box_triples(k)[r2[order]]
+    mats[:, 2, :] = r3[order]
     return mats, examined
 
 
@@ -220,7 +211,7 @@ def count_slk(k: int, naive: bool = False, guard: int = DEFAULT_GUARD) -> Enumer
     count = 0
     examined = 0
     for r1, size in _first_row_orbits(k):
-        block, ex = _row_block(r1, k)
-        count += size * block.shape[0]
+        r2, _, ex = _completions(r1, k)
+        count += size * r2.size
         examined += ex
     return EnumerationStats(k=k, count=count, candidates_examined=examined)

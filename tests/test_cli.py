@@ -118,6 +118,18 @@ def test_solve_input_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "-1,0,0,0,-1,0,0,0,1", "fcc"],
+    ["solve", "-1,0,0,0,-1,0,0,0,1", "fcc", "--r", "-2"],
+    ["solve", "fcc", "-0.5,0.5,0.5,0.5,-0.5,0.5,0.5,0.5,-0.5", "--r=-2"],
+])
+def test_comma_joined_basis_with_leading_minus_is_a_lattice(argv, capsys):
+    code, out, _ = run(argv, capsys)
+    spaced = [a.replace(",", " ") for a in argv]
+    assert code == 0
+    assert run(spaced, capsys) == (0, out, "")
+
+
 def test_solve_budget_exit_code(capsys):
     code, _, err = run(["solve", "fcc", "bcc", "--k", "9"], capsys)
     assert code == 3
@@ -282,7 +294,9 @@ def _non_finite_cells(draw):
 def _non_finite_bases(draw):
     nine = [str(v) for v in (np.eye(3).ravel() + draw(
         st.lists(st.floats(-0.2, 0.2), min_size=9, max_size=9))).tolist()]
-    return ", ".join(draw(_with_some(nine, _NON_FINITE)))
+    # joined with "," alone, a first field such as "-inf" or "-0.1" must not
+    # read as an option
+    return draw(st.sampled_from([",", ", "])).join(draw(_with_some(nine, _NON_FINITE)))
 
 
 @st.composite

@@ -284,15 +284,17 @@ def test_group_classes_rotated_copies_collapse():
 
 
 def test_orbit_of_identity_is_point_group():
+    from lattrans.lattice import cubic_point_group
+
     orbit = optimizer.point_group_orbit(np.eye(3, dtype=np.int64), np.eye(3), np.eye(3))
     assert len(orbit.mus) == 24
-    assert orbit.dropped == 0
+    assert all(np.array_equal(a, b) for a, b in zip(orbit.mus, cubic_point_group()))
 
 
 def test_orbit_reproduces_bain_minimizers():
     orbit = optimizer.point_group_orbit(BAIN_MU0, FCC, BCC)
     rep = optimizer.solve(FCC, BCC, D1, hint_mus=[BAIN_MU0])
-    assert len(orbit.mus) == 72 and orbit.dropped == 0
+    assert len(orbit.mus) == 72
     assert {tuple(m.ravel()) for m in orbit.mus} == {
         tuple(m.mu.ravel()) for m in rep.minimizers
     }
@@ -303,7 +305,73 @@ def test_orbit_for_tetragonal_product_has_24_members():
 
     orbit = optimizer.point_group_orbit(BAIN_MU0, FCC, bct_basis(0.95, 1.1))
     assert len(orbit.mus) == 24
-    assert orbit.dropped == 576 - 8 * 24
+
+
+# hexagonal lattice, a = 1 and c = 1.6: its rotation group 622 has 12
+# elements, only 4 of them cube rotations in this frame
+HEX = np.array([[1.0, -0.5, 0.0], [0.0, math.sqrt(3.0) / 2.0, 0.0], [0.0, 0.0, 1.6]])
+I3 = np.eye(3, dtype=np.int64)
+
+
+def test_hexagonal_orbit_is_the_distance_zero_solution_set():
+    orbit = optimizer.point_group_orbit(I3, HEX, HEX)
+    rep = optimizer.solve(HEX, HEX, D1)
+    assert rep.m_min <= 1e-14
+    assert len(orbit.mus) == len(rep.minimizers) == 12
+    assert all(np.array_equal(a, m.mu) for a, m in zip(orbit.mus, rep.minimizers))
+
+
+def test_orbit_does_not_depend_on_the_cartesian_frame():
+    rot = random_rotation(np.random.default_rng(5))
+    assert len(optimizer.point_group_orbit(I3, rot @ FCC, rot @ FCC).mus) == 24
+
+
+@pytest.mark.parametrize("cell", [TERE_F1, TERE_F2])
+def test_triclinic_rotation_group_is_trivial(cell):
+    orbit = optimizer.point_group_orbit(I3, cell, cell)
+    assert len(orbit.mus) == 1 and np.array_equal(orbit.mus[0], I3)
+
+
+def _elementary_shear(i, j, s):
+    u = np.eye(3, dtype=np.int64)
+    u[i, j] = s
+    return u
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), i=st.integers(0, 2), step=st.integers(1, 2),
+       s=st.sampled_from([-2, -1, 1, 2]), sheared=st.sampled_from(["parent", "product"]))
+def test_rebased_bain_orbit_maps_back_to_the_bain_orbit(seed, i, step, s, sheared):
+    # F' = R F U and G' = R' G V with one of U, V an elementary shear: the
+    # orbit of mu' = V^-1 mu0 U maps back by mu = V mu' U^-1
+    rng = np.random.default_rng(seed)
+    shear = _elementary_shear(i, (i + step) % 3, s)
+    u, v = (shear, I3) if sheared == "parent" else (I3, shear)
+    f = random_rotation(rng) @ FCC @ u
+    g = random_rotation(rng) @ BCC @ v
+    u_inv, v_inv = integer_inverse_batch(u), integer_inverse_batch(v)
+    orbit = optimizer.point_group_orbit(v_inv @ BAIN_MU0 @ u, f, g)
+    mapped = {tuple((v @ mu @ u_inv).ravel()) for mu in orbit.mus}
+    bain = optimizer.point_group_orbit(BAIN_MU0, FCC, BCC)
+    assert len(orbit.mus) == 72
+    assert mapped == {tuple(mu.ravel()) for mu in bain.mus}
+
+
+@pytest.mark.parametrize("mu0", [2 * I3, np.diag([1, 1, -1]), np.full((3, 3), 0.5)])
+def test_orbit_requires_a_correspondence(mu0):
+    with pytest.raises(ValueError):
+        optimizer.point_group_orbit(mu0, FCC, BCC)
+
+
+@pytest.mark.parametrize("huge", ["parent", "product"])
+def test_overflowing_generator_is_a_value_error(huge):
+    # det and |.|_F**3 of 1e120 I overflow: one ValueError, no warning
+    big = np.eye(3) * 1e120
+    f, g = (big, FCC) if huge == "parent" else (FCC, big)
+    with pytest.raises(ValueError, match=f"{huge} generator overflows"):
+        optimizer.solve(f, g, D1)
+    with pytest.raises(ValueError, match=f"{huge} generator overflows"):
+        optimizer.point_group_orbit(I3, f, g)
 
 
 def test_incumbent_distance_shrinks_bound():
