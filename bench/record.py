@@ -35,11 +35,19 @@ RUNS = 3
 
 TEREPHTHALIC = ("7.730,6.443,3.749,92.75,109.15,95.95", "7.452,6.856,5.020,116.6,119.2,96.5")
 
+#: The primitive basis of the first Terephthalic cell times I + e1 e2^T,
+#: as nine reals (row-major): the same lattice in a basis whose certified
+#: radius is 6/5/4 at r = 1/2/-2 instead of 3/3/2.
+TEREPHTHALIC_SHEARED = ("7.73,7.062115144011454,-1.2298309492326882,0.0,6.408289851367614,"
+                        "-0.30901971462014494,0.0,0.0,3.5280339641626908")
+
 CASES = {
     **{f"verify {name}": ["verify", name]
        for name in ("bain-d1", "bain-d2", "bain-dm2", "terephthalic")},
     **{f"solve fcc bcc r={r}": ["solve", "fcc", "bcc", "--r", r] for r in ("1", "2", "-2")},
     **{f"solve terephthalic r={r}": ["solve", *TEREPHTHALIC, "--r", r] for r in ("1", "2", "-2")},
+    **{f"solve terephthalic sheared r={r}": ["solve", TEREPHTHALIC_SHEARED, TEREPHTHALIC[1],
+                                             "--r", r] for r in ("1", "2", "-2")},
     "region (default grid)": ["region"],
     "count-sl --k 6": ["count-sl", "--k", "6"],
 }

@@ -24,6 +24,13 @@ The fold over them keeps the exact minimum m_min, every candidate in its
 tie band, and m_second, the smallest distance strictly above that band
 over the searched box; the search widens its shells until m_second is
 exact, so none of these depends on the shells.
+
+The radius depends on the basis typed, not only on the lattice: a
+sheared basis of a small-radius problem can need a radius past any
+guard.  When the certified radius exceeds ``_REDUCE_ABOVE_K``, both
+bases are LLL-reduced to F U and G V first; the reduced problem has the
+same transformations H = G mu F^-1 = (G V)(V^-1 mu U)(F U)^-1, and its
+minimizers map back to the caller's bases as mu = V mu_red U^-1.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import BudgetExceeded, NotRightHanded, SingularMatrix
-from .matrix3 import as_matrix3, det, frobenius, inverse, is_singular, singular_values, spd_power
+from .matrix3 import (adjugate, as_matrix3, det, frobenius, inverse, is_singular,
+                      singular_values, spd_power)
 from .metrics import StrainMetric, distance_to_identity, distance_to_identity_many, tie_tolerance
 from .unimodular import DEFAULT_GUARD, _box_triples, _require_unimodular, integer_inverse_batch
 
@@ -48,6 +56,11 @@ CLASS_REL_TOL = 1e-6
 #: the column bounds and of the evaluator (both near 1e-15 relative).
 _SLACK = 1e-9
 
+#: Largest certified radius searched in the caller's own bases; above it
+#: ``solve`` (unless ``k`` is forced) and the point groups reduce both
+#: bases first and keep the reduced problem when its radius is smaller.
+_REDUCE_ABOVE_K = 3
+
 #: Triple products formed per block of the shell search (16 MB of floats).
 _BLOCK = 1 << 21
 
@@ -59,7 +72,8 @@ class SearchBound:
     ``side`` is "direct" when the entry box bounds mu itself (r > 0) and
     "inverse" when it bounds mu^-1 (r < 0).  ``raw_bound`` is the right
     side of the bound above, constraining the column-max norm to the
-    power s.
+    power s.  When :func:`solve` reduced the bases, the bound is that of
+    the reduced bases F U and G V, not of the caller's.
     """
 
     k: int
@@ -89,6 +103,9 @@ class OptimalityReport:
     ``m_second`` is the smallest distance strictly above the tie band of
     ``m_min`` over the searched box, or None when no candidate lies there.
     ``candidates`` counts the determinant-one shell triples evaluated.
+    When the search ran on reduced bases, ``bound`` and ``k_used``
+    describe that reduced problem; ``parent``, ``product`` and every
+    minimizer's ``mu`` stay in the caller's bases.
     """
 
     parent: np.ndarray
@@ -246,6 +263,48 @@ def _shell_search(f, g, metric: StrainMetric, k: int, bound: SearchBound) -> _Fo
         t = fold.m_second if math.isfinite(fold.m_second) else float(lower[~inside].min())
 
 
+def _lll(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LLL-reduce the columns of F (delta = 3/4): (F U, U) with U an
+    integer matrix of determinant +1, so F U spans L(F) with the same
+    handedness.  U is tracked exactly; each step forms F U afresh from
+    it, so no rounding accumulates in the basis.
+    """
+    u = np.eye(3, dtype=np.int64)
+    k = 1
+    while k < 3:
+        for j in range(k - 1, -1, -1):
+            r = np.linalg.qr(f @ u, mode="r")
+            mu = r[j, k] / r[j, j]
+            if abs(mu) > 0.5 + _SLACK:  # a rounding error must not break a tie at 1/2
+                u[:, k] -= round(mu) * u[:, j]
+        r = np.linalg.qr(f @ u, mode="r")
+        mu = r[k - 1, k] / r[k - 1, k - 1]
+        if r[k, k] ** 2 >= (0.75 - mu * mu) * r[k - 1, k - 1] ** 2:
+            k += 1
+        else:
+            u[:, [k - 1, k]] = u[:, [k, k - 1]]
+            k = max(1, k - 1)
+    if det(u) < 0:
+        u[:, 2] = -u[:, 2]
+    return f @ u, u
+
+
+def _reduce(f, g, metric: StrainMetric, bound: SearchBound, hints=None):
+    """The problem on the LLL-reduced bases, as (F U, G V, U, V, its
+    bound), when ``bound.k`` exceeds ``_REDUCE_ABOVE_K`` and the reduced
+    radius is smaller; else None.  Each hint mu becomes V^-1 mu U, which
+    has the same transformation.
+    """
+    if bound.k <= _REDUCE_ABOVE_K:
+        return None
+    fr, u = _lll(f)
+    gr, v = (fr, u) if g is f else _lll(g)  # a point group reduces one basis
+    if hints is not None:
+        hints = [adjugate(v) @ _require_unimodular(mu) @ u for mu in hints]
+    reduced = search_bound(fr, gr, metric, hints)
+    return (fr, gr, u, v, reduced) if reduced.k < bound.k else None
+
+
 def _lex_unique(mus: np.ndarray) -> np.ndarray:
     """Indices of the distinct matrices of a stack, in row-major lex order."""
     rows = mus.reshape(-1, 9)
@@ -264,11 +323,23 @@ def solve(f, g, metric: StrainMetric, *, k: int | None = None,
     correspondences whose (exactly evaluated) distances shrink the bound.
     ``m_second`` is the first excited level over the searched box, also
     for a forced ``k`` (see :class:`OptimalityReport`).
+
+    Unless ``k`` is forced, a certified radius above 3 makes the search
+    run on the LLL-reduced bases F U, G V when their radius is smaller;
+    ``bound`` and ``k_used`` then describe that reduced problem, the
+    guard applies to its radius, and the minimizers are mapped back to
+    the caller's bases, which ``parent`` and ``product`` keep.
     """
     f = _require_generator(f, "parent")
     g = _require_generator(g, "product")
+    hints = None if hint_mus is None else list(hint_mus)
 
-    bound = search_bound(f, g, metric, hint_mus)
+    bound = search_bound(f, g, metric, hints)
+    fs, gs, back = f, g, None
+    reduced = None if k is not None else _reduce(f, g, metric, bound, hints)
+    if reduced is not None:
+        fs, gs, u, v, bound = reduced
+        back = (v, adjugate(u))
     k_used = bound.k if k is None else int(k)
     certified = k_used >= bound.k
 
@@ -276,12 +347,12 @@ def solve(f, g, metric: StrainMetric, *, k: int | None = None,
         raise ValueError(f"k must be a positive integer, got {k_used}")
     if k_used > guard:
         raise BudgetExceeded(f"search radius k={k_used} exceeds the practical guard {guard}")
-    fold = _shell_search(f, g, metric, k_used, bound)
+    fold = _shell_search(fs, gs, metric, k_used, bound)
     if fold.count == 0:
         raise RuntimeError("candidate enumeration produced no matrices")
 
-    minimizers = [Minimizer(mu=fold.mus[i].copy(), h=fold.hs[i].copy())
-                  for i in _lex_unique(fold.mus)]
+    mus = fold.mus if back is None else back[0] @ fold.mus @ back[1]
+    minimizers = [Minimizer(mu=mus[i].copy(), h=fold.hs[i].copy()) for i in _lex_unique(mus)]
 
     classes = group_classes([m.h for m in minimizers])
     m_min = fold.m_min
@@ -329,15 +400,22 @@ def _point_group(f: np.ndarray) -> np.ndarray:
 
     They are the distance-zero solutions of the problem F -> F, so the
     radius certified for it (m0 = 0) holds them all, and their columns
-    lie in the zero-width shells: |F u_j| = |f_j|.
+    lie in the zero-width shells: |F u_j| = |f_j|.  Above radius 3 the
+    group of the reduced basis F U is taken when its radius is smaller,
+    and conjugated back as U U_red U^-1.
     """
     metric = StrainMetric(1.0)
-    k = search_bound(f, f, metric).k
-    if k > DEFAULT_GUARD:
-        raise BudgetExceeded(f"the lattice's own search radius k={k} exceeds the guard")
-    box = _box_triples(k)
+    bound = search_bound(f, f, metric)
+    u = None
+    reduced = _reduce(f, f, metric, bound)
+    if reduced is not None:
+        f, _, u, _, bound = reduced
+    if bound.k > DEFAULT_GUARD:
+        raise BudgetExceeded(f"the lattice's own search radius k={bound.k} exceeds the guard")
+    box = _box_triples(bound.k)
     shells = [box[m] for m in _column_bounds(f, f, 1.0, box) <= _SLACK]
-    return _fold_triples(shells, f, f, metric, "direct").mus
+    group = _fold_triples(shells, f, f, metric, "direct").mus
+    return group if u is None else u @ group @ adjugate(u)
 
 
 def point_group_orbit(mu0, f, g) -> OrbitResult:

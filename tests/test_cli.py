@@ -105,6 +105,30 @@ def test_solve_triclinic_terephthalic(capsys):
     assert "searched k = 3" in out
 
 
+def test_solve_sheared_terephthalic_parent_maps_back(capsys):
+    # F' = F (I + 2 e1 e2^T) needs radius 15 in the typed basis; the search
+    # runs on the reduced bases and reports mu' = mu_min U in the typed one
+    import json
+
+    from lattrans import applications
+    from lattrans.lattice import triclinic_to_primitive
+
+    u = np.eye(3, dtype=np.int64)
+    u[0, 1] = 2
+    parent = triclinic_to_primitive(applications.TEREPHTHALIC_I) @ u
+    code, out, _ = run(
+        ["solve", " ".join(repr(float(v)) for v in parent.ravel()),
+         "7.452,6.856,5.020,116.6,119.2,96.5", "--format", "structured"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["certified"] and doc["minimizer_count"] == 1
+    mu = np.array(doc["minimizers"][0]["mu"], dtype=np.int64)
+    u_inv = np.rint(np.linalg.inv(u)).astype(np.int64)
+    assert np.array_equal(mu @ u_inv, applications.TEREPHTHALIC_MU_MIN)
+
+
 def test_solve_identical_lattices(capsys):
     code, out, _ = run(["solve", "fcc", "fcc"], capsys)
     assert code == 0

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 from lattrans import optimizer
 from lattrans.applications import bct_basis
 from lattrans.errors import BudgetExceeded, NotRightHanded, SingularMatrix
-from lattrans.matrix3 import inverse
+from lattrans.lattice import same_lattice
+from lattrans.matrix3 import det, inverse
 from lattrans.metrics import StrainMetric, distance_to_identity, tie_tolerance
 from lattrans.unimodular import integer_inverse_batch, materialize_slk
 
-from conftest import BAIN_MU0, BCC, FCC, TERE_F1, TERE_F2, random_rotation
+from conftest import BAIN_MU0, BCC, FCC, TERE_F1, TERE_F2, TERE_MU, random_rotation
 
 D1 = StrainMetric(1.0)
 D2 = StrainMetric(2.0)
@@ -231,16 +233,19 @@ def test_identity_in_band_keeps_exact_m_second(cell, r, k):
 
 def test_sheared_product_basis_within_default_guard():
     # G' = G (I - e2 e1^T) raises the certified r = -2 radius from 3 to 7;
-    # the first-column shell holds 959 vectors and the other two 225 each
+    # forced to it, the first-column shell holds 959 vectors and the other
+    # two 225 each; unforced, the search runs on the reduced bases
     v = np.eye(3, dtype=np.int64)
     v[1, 0] = -1
     anchor = optimizer.solve(FCC, BCC, DM2, hint_mus=[BAIN_MU0])
-    rep = optimizer.solve(FCC, BCC @ v, DM2)
+    want = {tuple(m.mu.ravel()) for m in anchor.minimizers}
+    rep = optimizer.solve(FCC, BCC @ v, DM2, k=7)
     assert rep.k_used == 7 and rep.certified
-    assert {tuple((v @ m.mu).ravel()) for m in rep.minimizers} == {
-        tuple(m.mu.ravel()) for m in anchor.minimizers
-    }
+    assert {tuple((v @ m.mu).ravel()) for m in rep.minimizers} == want
     assert abs(rep.m_min - anchor.m_min) <= tie_tolerance(anchor.m_min)
+    unforced = optimizer.solve(FCC, BCC @ v, DM2)
+    assert unforced.k_used <= 3 and unforced.certified
+    assert {tuple((v @ m.mu).ravel()) for m in unforced.minimizers} == want
 
 
 def test_ranked_negative_exponent_uses_inverse_box():
@@ -355,6 +360,74 @@ def test_rebased_bain_orbit_maps_back_to_the_bain_orbit(seed, i, step, s, sheare
     bain = optimizer.point_group_orbit(BAIN_MU0, FCC, BCC)
     assert len(orbit.mus) == 72
     assert mapped == {tuple(mu.ravel()) for mu in bain.mus}
+
+
+@pytest.mark.parametrize("f", [
+    FCC @ _elementary_shear(0, 1, 3),
+    BCC @ _elementary_shear(2, 0, -2) @ _elementary_shear(1, 2, 3),
+    TERE_F1 @ _elementary_shear(0, 1, 2),
+    TERE_F2,
+])
+def test_lll_keeps_the_lattice_and_its_handedness(f):
+    reduced, u = optimizer._lll(f)
+    assert np.array_equal(same_lattice(f, reduced), u)
+    assert det(u) == 1
+    again, w = optimizer._lll(reduced)
+    assert np.array_equal(w, I3) and np.array_equal(again, reduced)
+
+
+def test_sheared_terephthalic_orbit_matches_the_unsheared_one():
+    # the sheared parent's own radius is 11, past the guard of 8
+    shear = _elementary_shear(0, 1, 3)
+    assert optimizer.search_bound(TERE_F1 @ shear, TERE_F1 @ shear, D1).k == 11
+    sheared = optimizer.point_group_orbit(I3, TERE_F1 @ shear, TERE_F2)
+    assert len(sheared.mus) == len(optimizer.point_group_orbit(I3, TERE_F1, TERE_F2).mus)
+
+
+def test_strongly_sheared_bain_orbit_maps_back_to_the_bain_orbit():
+    u, v = _elementary_shear(0, 1, 3), _elementary_shear(2, 1, -3)
+    u_inv, v_inv = integer_inverse_batch(u), integer_inverse_batch(v)
+    orbit = optimizer.point_group_orbit(v_inv @ BAIN_MU0 @ u, FCC @ u, BCC @ v)
+    bain = optimizer.point_group_orbit(BAIN_MU0, FCC, BCC)
+    assert len(orbit.mus) == 72
+    assert {tuple((v @ mu @ u_inv).ravel()) for mu in orbit.mus} == {
+        tuple(mu.ravel()) for mu in bain.mus
+    }
+
+
+_ANCHOR_CELLS = {"fcc-bcc": (FCC, BCC, BAIN_MU0), "terephthalic": (TERE_F1, TERE_F2, TERE_MU)}
+
+
+@functools.lru_cache(maxsize=None)
+def _anchor(cell, r):
+    f, g, hint = _ANCHOR_CELLS[cell]
+    return optimizer.solve(f, g, StrainMetric(r), hint_mus=[hint])
+
+
+_shears = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(1, 2), st.sampled_from([-3, -2, -1, 1, 2, 3])),
+    min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("cell", sorted(_ANCHOR_CELLS))
+@pytest.mark.parametrize("r", [1.0, 2.0, -2.0])
+@settings(max_examples=8, deadline=None)
+@given(shears=_shears, sheared=st.sampled_from(["parent", "product"]))
+def test_solve_does_not_depend_on_the_basis(cell, r, shears, sheared):
+    # F' = F U or G' = G V with the other one unchanged: mu = V mu' U^-1
+    # gives back the anchor's minimizer set at the anchor's m_min
+    w = functools.reduce(np.matmul, [_elementary_shear(i, (i + step) % 3, s)
+                                     for i, step, s in shears])
+    u, v = (w, I3) if sheared == "parent" else (I3, w)
+    f, g, _ = _ANCHOR_CELLS[cell]
+    anchor = _anchor(cell, r)
+    rep = optimizer.solve(f @ u, g @ v, StrainMetric(r))
+    assert rep.certified
+    assert abs(rep.m_min - anchor.m_min) <= tie_tolerance(anchor.m_min)
+    u_inv = integer_inverse_batch(u)
+    assert {tuple((v @ m.mu @ u_inv).ravel()) for m in rep.minimizers} == {
+        tuple(m.mu.ravel()) for m in anchor.minimizers
+    }
 
 
 @pytest.mark.parametrize("mu0", [2 * I3, np.diag([1, 1, -1]), np.full((3, 3), 0.5)])
