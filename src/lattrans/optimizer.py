@@ -18,12 +18,15 @@ certifies the search.  Negative exponents bound the inverse instead, so
 those searches work on mu^-1 and invert exactly.
 
 Inside the box, the search lists only matrices whose columns lie in the
-shells of the same stretch-ratio inequality (Fincke-Pohst point sets,
-here cut to the box) and evaluates the determinant-one column triples.
-The fold over them keeps the exact minimum m_min, every candidate in its
-tie band, and m_second, the smallest distance strictly above that band
-over the searched box; the search widens its shells until m_second is
-exact, so none of these depends on the shells.
+shells of the same stretch-ratio inequality at a threshold t (Fincke-Pohst
+point sets, here cut to the box) and evaluates the determinant-one column
+triples.  t starts from below, at the largest per-column minimum bound,
+and rises pass by pass; each pass evaluates only the triples with a newly
+admitted column, so no triple is evaluated twice.  The fold over them
+keeps the exact minimum m_min, every candidate in its tie band, and
+m_second, the smallest distance strictly above that band over the
+searched box; the shells widen until m_second is exact, so none of these
+depends on the shells or on the passes.
 
 The radius depends on the basis typed, not only on the lattice: a
 sheared basis of a small-radius problem can need a radius past any
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -63,6 +67,12 @@ _REDUCE_ABOVE_K = 3
 
 #: Triple products formed per block of the shell search (16 MB of floats).
 _BLOCK = 1 << 21
+
+#: Determinant-one matrices evaluated per batch (4.5 MB of transformations).
+_ROWS = 1 << 16
+
+#: Coordinate rolls that form the cross product c1 x c2 entrywise.
+_ROLL1, _ROLL2 = [1, 2, 0], [2, 0, 1]
 
 
 @dataclass(frozen=True)
@@ -102,7 +112,8 @@ class OptimalityReport:
 
     ``m_second`` is the smallest distance strictly above the tie band of
     ``m_min`` over the searched box, or None when no candidate lies there.
-    ``candidates`` counts the determinant-one shell triples evaluated.
+    ``candidates`` counts the determinant-one shell triples evaluated,
+    each once, over all threshold passes.
     When the search ran on reduced bases, ``bound`` and ``k_used``
     describe that reduced problem; ``parent``, ``product`` and every
     minimizer's ``mu`` stay in the caller's bases.
@@ -195,9 +206,10 @@ def search_bound(f, g, metric: StrainMetric, hint_mus: Iterable | None = None) -
     if not math.isfinite(limit):
         raise BudgetExceeded(f"the certified search radius is unbounded (raw bound {raw!r})")
     # hypot(j + 1, 1) <= limit holds for every j < limit - 1, so start there;
-    # past 2**52 floats cannot tell k + 1 from k + 2, and k is past any guard
+    # a limit within rounding of hypot(k + 1, 1) takes one more k; past
+    # 2**52 floats cannot tell k + 1 from k + 2, and k is past any guard
     k = max(1, math.floor(limit) - 1)
-    while k < 2**52 and math.hypot(k + 1.0, 1.0) <= limit:
+    while k < 2**52 and math.hypot(k + 1.0, 1.0) <= limit * (1.0 + _SLACK):
         k += 1
     return SearchBound(k=k, m0=m0, raw_bound=raw, side=side)
 
@@ -212,30 +224,51 @@ def _column_bounds(a: np.ndarray, b: np.ndarray, s: float, box: np.ndarray) -> n
     return np.abs((images[None, :] / lengths[:, None]) ** s - 1.0)
 
 
-def _fold_triples(shells, f, g, metric: StrainMetric, side: str) -> _Fold:
-    """Evaluate every determinant-one triple of shell columns.
+def _det1_blocks(shells):
+    """Yield, block by block, the determinant-one matrices whose column j
+    lies in ``shells[j]`` (int64, (n, 3, 3)).
 
     The triple product c3 . (c1 x c2) is formed in floats, exact for
     entries this small, in blocks of the first column so that no block
     holds more than about ``_BLOCK`` products.
     """
-    finv = inverse(f)
     c1, c2, c3 = (s.astype(float) for s in shells)
-    n2, n3 = c2.shape[0], c3.shape[0]
-    step = max(1, _BLOCK // max(1, n2 * n3))
-    fold = _Fold()
+    n2 = c2.shape[0]
+    step = max(1, _BLOCK // max(1, n2 * c3.shape[0]))
     for lo in range(0, c1.shape[0], step):
-        cross = np.cross(c1[lo : lo + step, None, :], c2[None, :, :]).reshape(-1, 3)
-        pair, third = np.nonzero(cross @ c3.T == 1.0)
-        if pair.size == 0:
-            continue
-        cols = np.stack(
-            [shells[0][lo + pair // n2], shells[1][pair % n2], shells[2][third]], axis=-1
-        )
-        mus = integer_inverse_batch(cols) if side == "inverse" else cols
-        hs = (g @ mus.astype(float)) @ finv
-        d = distance_to_identity_many(hs, metric)
-        fold = _merge(fold, _Fold(m_min=float(d.min()), mus=mus, hs=hs, ds=d, count=int(d.size)))
+        a = c1[lo : lo + step, None, :]
+        cross = (a[..., _ROLL1] * c2[None, :, _ROLL2] - a[..., _ROLL2] * c2[None, :, _ROLL1])
+        pair, third = np.nonzero(cross.reshape(-1, 3) @ c3.T == 1.0)
+        if pair.size:
+            yield np.stack(
+                [shells[0][lo + pair // n2], shells[1][pair % n2], shells[2][third]], axis=-1
+            )
+
+
+def _evaluate(cols: np.ndarray, finv, g, metric: StrainMetric, side: str) -> _Fold:
+    """Fold of the matrices with columns ``cols``: mu itself on the direct
+    side, mu^-1 on the inverse side."""
+    mus = integer_inverse_batch(cols) if side == "inverse" else cols
+    hs = (g @ mus.astype(float)) @ finv
+    d = distance_to_identity_many(hs, metric)
+    return _Fold(m_min=float(d.min()), mus=mus, hs=hs, ds=d, count=int(d.size))
+
+
+def _fold_triples(products, finv, g, metric: StrainMetric, side: str, fold: _Fold) -> _Fold:
+    """Merge into ``fold`` the determinant-one matrices of every shell
+    triple in ``products``, gathering up to about ``_ROWS`` rows per
+    evaluation.
+    """
+    pending, rows = [], 0
+    for shells in products:
+        for cols in _det1_blocks(shells):
+            pending.append(cols)
+            rows += cols.shape[0]
+            if rows >= _ROWS:
+                fold = _merge(fold, _evaluate(np.concatenate(pending), finv, g, metric, side))
+                pending, rows = [], 0
+    if pending:
+        fold = _merge(fold, _evaluate(np.concatenate(pending), finv, g, metric, side))
     return fold
 
 
@@ -244,23 +277,40 @@ def _shell_search(f, g, metric: StrainMetric, k: int, bound: SearchBound) -> _Fo
 
     The searched matrix is mu (direct side) or mu^-1 (inverse side); a
     column whose lower bound exceeds the threshold t cannot belong to a
-    matrix at distance t or less.  Starting from t = m0, attained by
-    mu = I, every minimizer is in reach.  m_second is exact once some
-    evaluated distance above the tie band is in reach; otherwise t rises
-    to that distance, or to the next column bound when none was found,
-    until the shells hold the whole box.
+    matrix at distance t or less.  The search starts at the largest
+    per-column minimum bound, below which no matrix lies, and raises t
+    pass by pass.  Each pass evaluates only the triples with a newly
+    admitted column (new x in x in, old x new x in, old x old x new), so
+    no triple is evaluated twice.  m_second is exact once some evaluated
+    distance above the tie band is in reach, or once the shells hold the
+    whole box.  Between passes t moves to the least evaluated distance
+    above the band, or to m_min while that is out of reach; with nothing
+    found yet it grows by (1 + t)/2, and at least to the next column bound.
     """
     a, b = (g, f) if bound.side == "direct" else (f, g)
     box = _box_triples(k)
     lower = _column_bounds(a, b, abs(metric.r), box)
-    t = bound.m0
+    finv = inverse(f)
+    fold = _Fold()
+    old = np.zeros_like(lower, dtype=bool)
+    t = float(lower.min(axis=1).max())
     while True:
         reach = t + tie_tolerance(t)
         inside = lower <= reach + _SLACK * (1.0 + reach)
-        fold = _fold_triples([box[m] for m in inside], f, g, metric, bound.side)
+        new = inside & ~old
+        parts = ((new[0], inside[1], inside[2]), (old[0], new[1], inside[2]),
+                 (old[0], old[1], new[2]))
+        products = [[box[m] for m in p] for p in parts if all(m.any() for m in p)]
+        fold = _fold_triples(products, finv, g, metric, bound.side, fold)
         if fold.m_second <= reach or inside.all():
             return fold
-        t = fold.m_second if math.isfinite(fold.m_second) else float(lower[~inside].min())
+        old = inside
+        if reach < fold.m_min < math.inf:
+            t = fold.m_min
+        elif math.isfinite(fold.m_second):
+            t = fold.m_second
+        else:
+            t = max(t + 0.5 * (1.0 + t), float(lower[~inside].min()))
 
 
 def _lll(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -372,22 +422,24 @@ def group_classes(transformations) -> list[StretchClass]:
     Two transformations are equivalent (differ by a rotation) exactly
     when their Cauchy-Green tensors H^T H agree; the comparison is
     Frobenius with relative tolerance ``CLASS_REL_TOL``.  Each class carries the
-    symmetric stretch factor of its first member.
+    symmetric stretch factor of its first member, and takes every later
+    transformation that matches no earlier class.
     """
+    hs = np.asarray(list(transformations), dtype=float)
+    if hs.size and (hs.shape[1:] != (3, 3) or not np.isfinite(hs).all()):
+        raise ValueError("transformations must be finite 3x3 matrices")
+    hs = hs.reshape(-1, 3, 3)
+    grams = np.swapaxes(hs, -1, -2) @ hs
+    free = np.ones(len(hs), dtype=bool)
     classes: list[StretchClass] = []
-    grams: list[np.ndarray] = []
-    for idx, h in enumerate(transformations):
-        h = as_matrix3(h)
-        gram = h.T @ h
-        for ci, ref in enumerate(grams):
-            if frobenius(gram - ref) <= CLASS_REL_TOL * (1.0 + frobenius(ref)):
-                classes[ci].members.append(idx)
-                break
-        else:
-            classes.append(StretchClass(stretch=spd_power(gram, 0.5),
-                                        principal_stretches=tuple(singular_values(h).tolist()),
-                                        members=[idx]))
-            grams.append(gram)
+    while free.any():
+        idx = int(np.argmax(free))
+        ref = grams[idx]
+        members = free & (frobenius(grams - ref) <= CLASS_REL_TOL * (1.0 + frobenius(ref)))
+        free &= ~members
+        classes.append(StretchClass(stretch=spd_power(ref, 0.5),
+                                    principal_stretches=tuple(singular_values(hs[idx]).tolist()),
+                                    members=np.flatnonzero(members).tolist()))
     return classes
 
 
@@ -396,7 +448,8 @@ class OrbitResult(NamedTuple):
 
 
 def _point_group(f: np.ndarray) -> np.ndarray:
-    """The rotations of L(F) as integer matrices U with F U F^-1 a rotation.
+    """The rotations of L(F) as integer matrices U with F U F^-1 a rotation,
+    as a read-only array cached per basis (keyed on its float64 bytes).
 
     They are the distance-zero solutions of the problem F -> F, so the
     radius certified for it (m0 = 0) holds them all, and their columns
@@ -404,6 +457,12 @@ def _point_group(f: np.ndarray) -> np.ndarray:
     group of the reduced basis F U is taken when its radius is smaller,
     and conjugated back as U U_red U^-1.
     """
+    return _basis_point_group(np.asarray(f, dtype=float).tobytes())
+
+
+@lru_cache(maxsize=64)
+def _basis_point_group(key: bytes) -> np.ndarray:
+    f = np.frombuffer(key).reshape(3, 3)
     metric = StrainMetric(1.0)
     bound = search_bound(f, f, metric)
     u = None
@@ -414,8 +473,11 @@ def _point_group(f: np.ndarray) -> np.ndarray:
         raise BudgetExceeded(f"the lattice's own search radius k={bound.k} exceeds the guard")
     box = _box_triples(bound.k)
     shells = [box[m] for m in _column_bounds(f, f, 1.0, box) <= _SLACK]
-    group = _fold_triples(shells, f, f, metric, "direct").mus
-    return group if u is None else u @ group @ adjugate(u)
+    group = _fold_triples([shells], inverse(f), f, metric, "direct", _Fold()).mus
+    if u is not None:
+        group = u @ group @ adjugate(u)
+    group.setflags(write=False)
+    return group
 
 
 def point_group_orbit(mu0, f, g) -> OrbitResult:

@@ -13,7 +13,7 @@ from lattrans.errors import BudgetExceeded, NotRightHanded, SingularMatrix
 from lattrans.lattice import same_lattice
 from lattrans.matrix3 import det, inverse
 from lattrans.metrics import StrainMetric, distance_to_identity, tie_tolerance
-from lattrans.unimodular import integer_inverse_batch, materialize_slk
+from lattrans.unimodular import _box_triples, integer_inverse_batch, materialize_slk
 
 from conftest import BAIN_MU0, BCC, FCC, TERE_F1, TERE_F2, TERE_MU, random_rotation
 
@@ -231,6 +231,60 @@ def test_identity_in_band_keeps_exact_m_second(cell, r, k):
     _assert_matches_box(rep, f, g, r, rep.k_used)
 
 
+@settings(max_examples=6, deadline=None)
+@given(a=st.floats(0.85, 1.15), c=st.floats(0.85, 1.15), r=st.sampled_from([1.0, 2.0, -2.0]))
+def test_shell_search_matches_exhaustive_box_random_bct_certified(a, c, r):
+    # unforced: the search starts below the answer and raises its threshold
+    # pass by pass inside the certified radius (3 for every such cell)
+    g = bct_basis(a, c)
+    rep = optimizer.solve(FCC, g, StrainMetric(r))
+    assert rep.certified and rep.k_used == optimizer.search_bound(FCC, g, StrainMetric(r)).k == 3
+    _assert_matches_box(rep, FCC, g, r, rep.k_used)
+
+
+@pytest.mark.parametrize("cell, r", [("fcc-bcc", 1.0), ("fcc-bcc", 2.0), ("fcc-bcc", -2.0),
+                                     ("fcc-bct", 1.0), ("terephthalic", -2.0),
+                                     ("fcc-fcc", 2.0)])
+def test_shell_search_evaluates_each_triple_once(cell, r, monkeypatch):
+    # every evaluated H = G mu F^-1 names its mu; none may come twice, over
+    # all threshold passes, and no more than the box holds
+    f, g = CELLS[cell]
+    evaluated = []
+    evaluator = optimizer.distance_to_identity_many
+
+    def spy(hs, metric):
+        evaluated.append(hs)
+        return evaluator(hs, metric)
+
+    monkeypatch.setattr(optimizer, "distance_to_identity_many", spy)
+    metric = StrainMetric(r)
+    rep = optimizer.solve(f, g, metric)
+    mus = np.rint(inverse(g) @ np.concatenate(evaluated) @ f).astype(np.int64)
+    assert len(mus) == rep.candidates <= materialize_slk(rep.k_used).shape[0]
+    assert len(np.unique(mus.reshape(-1, 9), axis=0)) == len(mus)
+    fold = optimizer._shell_search(f, g, metric, rep.k_used, rep.bound)
+    assert len(optimizer._lex_unique(fold.mus)) == len(fold.mus) == len(rep.minimizers)
+
+
+def test_search_steps_past_a_first_pass_without_triples():
+    # Terephthalic I -> II (I + e2 e3^T) at r = -2: the shells at the
+    # starting threshold t0 = max_j min_i lower[j, i] hold no det-1
+    # triple, so the first matrix comes from a later pass
+    shear = np.eye(3)
+    shear[1, 2] = 1.0
+    g = TERE_F2 @ shear
+    bound = optimizer.search_bound(TERE_F1, g, DM2)
+    assert bound.side == "inverse" and bound.k == 3
+    box = _box_triples(bound.k)
+    lower = optimizer._column_bounds(TERE_F1, g, 2.0, box)
+    t0 = lower.min(axis=1).max()
+    shells = [box[m] for m in lower <= t0 + tie_tolerance(t0)]
+    assert all(len(s) for s in shells) and not list(optimizer._det1_blocks(shells))
+    rep = optimizer.solve(TERE_F1, g, DM2)
+    assert rep.k_used == 3 and rep.certified
+    _assert_matches_box(rep, TERE_F1, g, -2.0, 3)
+
+
 def test_sheared_product_basis_within_default_guard():
     # G' = G (I - e2 e1^T) raises the certified r = -2 radius from 3 to 7;
     # forced to it, the first-column shell holds 959 vectors and the other
@@ -329,6 +383,27 @@ def test_hexagonal_orbit_is_the_distance_zero_solution_set():
 def test_orbit_does_not_depend_on_the_cartesian_frame():
     rot = random_rotation(np.random.default_rng(5))
     assert len(optimizer.point_group_orbit(I3, rot @ FCC, rot @ FCC).mus) == 24
+
+
+def test_point_group_is_cached_per_basis():
+    first = optimizer.point_group_orbit(BAIN_MU0, FCC, BCC)
+    group = optimizer._point_group(FCC)
+    assert optimizer._point_group(FCC.copy()) is group and not group.flags.writeable
+    second = optimizer.point_group_orbit(BAIN_MU0, FCC, BCC)
+    assert len(second.mus) == 72
+    assert all(np.array_equal(a, b) for a, b in zip(first.mus, second.mus))
+
+
+@pytest.mark.parametrize("f", [FCC, HEX])
+def test_point_groups_of_two_bases_are_conjugate(f):
+    # L(F U) = L(F): its group is U^-1 P U over the group P of F, not the
+    # group cached for F
+    u = _elementary_shear(0, 1, 1) @ _elementary_shear(2, 1, -1)
+    group = optimizer._point_group(f)
+    rebased = optimizer._point_group(f @ u)
+    assert {tuple(p.ravel()) for p in rebased} == {
+        tuple((integer_inverse_batch(u) @ p @ u).ravel()) for p in group
+    }
 
 
 @pytest.mark.parametrize("cell", [TERE_F1, TERE_F2])
@@ -469,6 +544,19 @@ def test_search_bound_column_max_is_first_column_for_triclinic_cell():
     bound = optimizer.search_bound(TERE_F1, TERE_F2, D1)
     nu_min = np.linalg.svd(TERE_F2, compute_uv=False)[2]
     assert bound.raw_bound == pytest.approx(7.730 / nu_min * (bound.m0 + 1.0), rel=1e-12)
+
+
+def test_search_bound_takes_one_more_k_at_a_rounded_boundary():
+    # F = 0.7 diag(phi, 1, 1), G = 0.7 I at r = 1: the limit is
+    # |F|_cols / nu_min(G) * (m0 + 1) = phi (2 - 1/phi) = sqrt(5) = hypot(2, 1)
+    # exactly, and one ulp below it in floats, so radius 1 would leave out
+    # the boundary column (2, 1, 0)
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    f, g = 0.7 * np.diag([phi, 1.0, 1.0]), 0.7 * np.eye(3)
+    bound = optimizer.search_bound(f, g, D1)
+    assert bound.raw_bound < math.hypot(2.0, 1.0)
+    assert bound.raw_bound == pytest.approx(math.sqrt(5.0), rel=1e-15)
+    assert bound.k == 2
 
 
 def test_integral_float_hint_counts_as_integer():
