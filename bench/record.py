@@ -1,23 +1,26 @@
-"""Record the end-to-end timings of one lattrans checkout into a BENCH file.
+"""Record the end-to-end timings of lattrans checkouts side by side into a BENCH file.
 
-    python3 bench/record.py --column change --out BENCH_<n>.json
-    python3 bench/record.py --checkout ../parent --column parent --out BENCH_<n>.json
+    python3 bench/record.py --checkout parent=../parent --checkout change=. \\
+        --out BENCH_<n>.json
 
-Each case is one ``lattrans`` CLI command run ``RUNS`` times, each time
-in a fresh interpreter that imports ``lattrans`` from the checkout's
-``src/``.  A case records the median of ``call_s`` (the command inside
-the interpreter, after imports) and of ``process_s`` (the whole process,
-as a shell user waits for it), and every exit code.  The column also
-holds the tier-1 wall time (one run of the test suite in the checkout),
-the CPU count, and the Python and numpy versions.
+Each ``--checkout NAME=PATH`` becomes one column (default: one column
+``change`` for this checkout).  Each case is one ``lattrans`` CLI command,
+run ``--rounds`` times per column in a fresh interpreter that imports
+``lattrans`` from the checkout's ``src/``.  The columns alternate within
+each round (ABAB...), so a slow spell of the machine falls on every
+column alike.  A case records, per column, the median and the quartiles
+of ``call_s`` (the command inside the interpreter, after imports) and of
+``process_s`` (the whole process, as a shell user waits for it), and
+every exit code.  Each column also holds the tier-1 wall time (one run
+of the test suite in the checkout), the CPU count, and the Python and
+numpy versions.
 
 The recorder pins itself, and so every command it starts, to the lowest
 CPU it may run on: on small virtual machines the CPUs can differ in
 speed, and the scheduler's choice would otherwise set a case's time.
 
-``--out`` keeps the other columns of an existing file, so a change and
-its parent commit land side by side.  Measure the parent from a clean
-copy of its commit, not from an edited tree.
+``--out`` keeps the other columns of an existing file.  Measure a parent
+commit from a clean copy of it, not from an edited tree.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import sys
 import time
 from pathlib import Path
 
-RUNS = 3
+ROUNDS = 5
 
 TEREPHTHALIC = ("7.730,6.443,3.749,92.75,109.15,95.95", "7.452,6.856,5.020,116.6,119.2,96.5")
 
@@ -73,23 +76,28 @@ def _environment(checkout: Path) -> dict:
     return env
 
 
-def run_case(checkout: Path, argv: list) -> dict:
-    calls, walls, exits = [], [], []
-    for _ in range(RUNS):
-        start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], cwd=checkout,
-                              env=_environment(checkout), capture_output=True, text=True,
-                              check=False)
-        walls.append(time.perf_counter() - start)
-        if proc.returncode != 0:
-            raise RuntimeError(f"{argv} failed: {proc.stderr.strip()}")
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
-        if not Path(result["module"]).resolve().is_relative_to((checkout / "src").resolve()):
-            raise RuntimeError(f"lattrans was not imported from {checkout / 'src'}")
-        calls.append(result["call_s"])
-        exits.append(result["exit"])
-    return {"call_s": statistics.median(calls), "process_s": statistics.median(walls),
-            "exit": exits, "runs": RUNS}
+def run_once(checkout: Path, argv: list) -> tuple:
+    """(call_s, process_s, exit code) of one fresh-process run."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], cwd=checkout,
+                          env=_environment(checkout), capture_output=True, text=True,
+                          check=False)
+    wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"{argv} failed in {checkout}: {proc.stderr.strip()}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not Path(result["module"]).resolve().is_relative_to((checkout / "src").resolve()):
+        raise RuntimeError(f"lattrans was not imported from {checkout / 'src'}")
+    return result["call_s"], wall, result["exit"]
+
+
+def summarise(runs: list) -> dict:
+    """Median and quartiles of ``call_s`` and ``process_s`` over ``runs``."""
+    out = {"exit": [code for _, _, code in runs], "runs": len(runs)}
+    for i, key in enumerate(("call_s", "process_s")):
+        q1, median, q3 = statistics.quantiles([run[i] for run in runs], n=4, method="inclusive")
+        out[key], out[f"{key}_quartiles"] = median, [q1, q3]
+    return out
 
 
 def run_tier1(checkout: Path) -> dict:
@@ -102,40 +110,62 @@ def run_tier1(checkout: Path) -> dict:
             "summary": lines[-1] if lines else ""}
 
 
-def record(checkout: Path) -> dict:
+def record(checkouts: dict, rounds: int) -> dict:
+    """One column per checkout; every case runs its columns alternately."""
     import numpy
 
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
-                            text=True, check=False).stdout.strip()
-    column = {
-        "commit": commit or None,
-        "cpu_count": os.cpu_count(),
-        "cpus_used": sorted(os.sched_getaffinity(0)),
-        "python": sys.version.split()[0],
-        "numpy": numpy.__version__,
-        "cases": {},
-    }
-    for name, argv in CASES.items():
-        column["cases"][name] = run_case(checkout, argv)
-        print(f"{name}: {column['cases'][name]['call_s']:.3f} s", file=sys.stderr)
-    column["tier1"] = run_tier1(checkout)
-    print(f"tier-1: {column['tier1']['wall_s']:.1f} s", file=sys.stderr)
-    return column
+    columns = {}
+    for name, checkout in checkouts.items():
+        commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
+                                text=True, check=False).stdout.strip()
+        columns[name] = {
+            "commit": commit or None,
+            "cpu_count": os.cpu_count(),
+            "cpus_used": sorted(os.sched_getaffinity(0)),
+            "python": sys.version.split()[0],
+            "numpy": numpy.__version__,
+            "cases": {},
+        }
+    for case, argv in CASES.items():
+        runs = {name: [] for name in checkouts}
+        for _ in range(rounds):
+            for name, checkout in checkouts.items():
+                runs[name].append(run_once(checkout, argv))
+        for name in checkouts:
+            columns[name]["cases"][case] = summarise(runs[name])
+        print(case + ": " + ", ".join(f"{name} {columns[name]['cases'][case]['call_s']:.4f} s"
+                                      for name in checkouts), file=sys.stderr)
+    for name, checkout in checkouts.items():
+        columns[name]["tier1"] = run_tier1(checkout)
+        print(f"tier-1 {name}: {columns[name]['tier1']['wall_s']:.1f} s", file=sys.stderr)
+    return columns
+
+
+def _column(text: str) -> tuple:
+    name, sep, path = text.partition("=")
+    if not sep or not name:
+        raise argparse.ArgumentTypeError(f"expected NAME=PATH, got {text!r}")
+    return name, Path(path).resolve()
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent,
-                        help="root of the lattrans checkout to measure (default: this one)")
-    parser.add_argument("--column", required=True, help="column name, e.g. parent or change")
+    parser.add_argument("--checkout", type=_column, action="append", metavar="NAME=PATH",
+                        help="a column and the root of the lattrans checkout it measures "
+                             "(repeatable; default: change=this checkout)")
+    parser.add_argument("--rounds", type=int, default=ROUNDS,
+                        help=f"alternating runs per case and column (default {ROUNDS})")
     parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to update")
     args = parser.parse_args(argv)
+    checkouts = dict(args.checkout or [("change", Path(__file__).resolve().parent.parent)])
+    for path in checkouts.values():
+        if not (path / "src" / "lattrans").is_dir():
+            parser.error(f"{path} holds no src/lattrans")
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2, for the quartiles")
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    checkout = args.checkout.resolve()
-    if not (checkout / "src" / "lattrans").is_dir():
-        parser.error(f"{checkout} holds no src/lattrans")
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"columns": {}}
-    doc["columns"][args.column] = record(checkout)
+    doc["columns"].update(record(checkouts, args.rounds))
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 

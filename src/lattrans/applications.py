@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .lattice import TriclinicParams, triclinic_to_primitive
 from .matrix3 import frobenius
 from .metrics import StrainMetric
 from .optimizer import OptimalityReport, solve
-from .unimodular import materialize_slk
 
 # Primitive generators of the face-centred cubic cell of unit volume and
 # the equal-density body-centred cell.
@@ -33,6 +31,13 @@ _BCC = 2.0 ** (-1.0 / 3.0) * 0.5 * np.array(
 #: The classic fcc-to-bcc correspondence; all 72 minimizers are its
 #: point-group orbit.
 BAIN_MU0 = np.array([[1, 1, 1], [0, 1, 0], [0, 1, 1]], dtype=np.int64)
+
+#: max |mu F^-1|_F over the 3480 radius-1 correspondences, with F^-1 =
+#: [[-1, 1, 1], [1, -1, 1], [1, 1, -1]] the inverse of ``_FCC``.  The
+#: products are integer matrices; 216 of them reach the largest squared
+#: norm, 27 (mu = [[-1, -1, 1], [-1, 0, 1], [-1, 1, 0]] gives
+#: [[1, 1, -3], [2, 0, -2], [2, -2, 0]]).  The tests recompute it.
+SL1_TRANSFORM_NORM_MAX = math.sqrt(27.0)
 
 #: The correspondence minimising the Terephthalic Acid I -> II strain.
 TEREPHTHALIC_MU_MIN = np.array([[0, 1, 0], [1, 0, 0], [1, 1, -1]], dtype=np.int64)
@@ -256,19 +261,6 @@ def bain_with_volume(scale: float, metric: StrainMetric) -> dict:
     }
 
 
-@lru_cache(maxsize=1)
-def sl1_transform_norm_max() -> float:
-    """max |mu F^-1|_F over the 3480 radius-1 correspondences.
-
-    Recomputed by enumeration; equals 27**0.5 exactly (the products are
-    integer matrices, so the squared norms are integers).
-    """
-    finv = np.array([[-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
-    mus = materialize_slk(1).astype(float)
-    prods = mus @ finv
-    return float(np.sqrt((prods**2).sum(axis=(1, 2)).max()))
-
-
 def _bct_ground_distance(a_scale, c_scale, r: float):
     """Distance of diag(2^(1/6)A, 2^(1/6)A, 2^(-1/3)C) to the identity,
     elementwise over array scales."""
@@ -288,9 +280,9 @@ def _margin(excited, r: float, lam, ref, target):
     moving from ``ref`` to ``target`` at volume scale ``lam`` shifts any
     radius-1 distance by at most lam * factor * |ref - target|_F for
     r = 1, and by lam^2 * factor^2 * |ref^T ref - target^T target|_F for
-    r = 2, with factor = ``sl1_transform_norm_max()``.  Arrays broadcast.
+    r = 2, with factor = ``SL1_TRANSFORM_NORM_MAX``.  Arrays broadcast.
     """
-    factor = sl1_transform_norm_max()
+    factor = SL1_TRANSFORM_NORM_MAX
     if r == 1.0:
         return excited - lam * factor * frobenius(ref - target)
     return excited - lam**2 * factor**2 * frobenius(_gram(ref) - _gram(target))

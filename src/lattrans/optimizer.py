@@ -14,8 +14,9 @@ where |.|_cols is the column-max norm.  Any integer matrix outside the
 entry box [-k, k] has a column of squared norm at least (k+1)**2 + 1
 (a column (k+1, 0, 0) would force the determinant to be divisible by
 k+1), so the smallest k whose exclusion threshold exceeds the bound
-certifies the search.  Negative exponents bound the inverse instead, so
-those searches work on mu^-1 and invert exactly.
+certifies the search.  At r < 0 the box bounds mu^-1: F -> G is then
+the problem G -> F at |r| (F mu^-1 G^-1 has singular values 1/nu_i), and
+``solve`` searches that one and maps its minimizers back as adj(mu^-1).
 
 Inside the box, the search lists only matrices whose columns lie in the
 shells of the same stretch-ratio inequality at a threshold t (Fincke-Pohst
@@ -49,7 +50,7 @@ from .errors import BudgetExceeded, NotRightHanded, SingularMatrix
 from .matrix3 import (adjugate, as_matrix3, det, frobenius, inverse, is_singular,
                       singular_values, spd_power)
 from .metrics import StrainMetric, distance_to_identity, distance_to_identity_many, tie_tolerance
-from .unimodular import DEFAULT_GUARD, _box_triples, _require_unimodular, integer_inverse_batch
+from .unimodular import DEFAULT_GUARD, _box_triples, _require_unimodular
 
 #: Two transformations share an equivalence class when their Cauchy-Green
 #: tensors agree to this relative tolerance (looser than the distance tie
@@ -80,7 +81,9 @@ class SearchBound:
     """Certified finite search radius for one problem.
 
     ``side`` is "direct" when the entry box bounds mu itself (r > 0) and
-    "inverse" when it bounds mu^-1 (r < 0).  ``raw_bound`` is the right
+    "inverse" when it bounds mu^-1 (r < 0), which :func:`solve` searches
+    as the problem G -> F at |r|; ``m0`` is the distance of G F^-1 at r
+    itself.  ``raw_bound`` is the right
     side of the bound above, constraining the column-max norm to the
     power s.  When :func:`solve` reduced the bases, the bound is that of
     the reduced bases F U and G V, not of the caller's.
@@ -138,13 +141,12 @@ class OptimalityReport:
 class _Fold:
     """Associative partial result of scanning candidate blocks.
 
-    Keeps the rows in the tie band of ``m_min`` and, as ``m_second``, the
-    smallest distance above that band.
+    Keeps the matrices in the tie band of ``m_min`` with their distances
+    and, as ``m_second``, the smallest distance above that band.
     """
 
     m_min: float = math.inf
     mus: np.ndarray = field(default_factory=lambda: np.empty((0, 3, 3), dtype=np.int64))
-    hs: np.ndarray = field(default_factory=lambda: np.empty((0, 3, 3)))
     ds: np.ndarray = field(default_factory=lambda: np.empty(0))
     m_second: float = math.inf
     count: int = 0
@@ -160,7 +162,6 @@ def _merge(a: _Fold, b: _Fold) -> _Fold:
     return _Fold(
         m_min=m_min,
         mus=np.concatenate([a.mus[ka], b.mus[kb]]),
-        hs=np.concatenate([a.hs[ka], b.hs[kb]]),
         ds=np.concatenate([a.ds[ka], b.ds[kb]]),
         m_second=second,
         count=a.count + b.count,
@@ -245,16 +246,13 @@ def _det1_blocks(shells):
             )
 
 
-def _evaluate(cols: np.ndarray, finv, g, metric: StrainMetric, side: str) -> _Fold:
-    """Fold of the matrices with columns ``cols``: mu itself on the direct
-    side, mu^-1 on the inverse side."""
-    mus = integer_inverse_batch(cols) if side == "inverse" else cols
-    hs = (g @ mus.astype(float)) @ finv
-    d = distance_to_identity_many(hs, metric)
-    return _Fold(m_min=float(d.min()), mus=mus, hs=hs, ds=d, count=int(d.size))
+def _evaluate(mus: np.ndarray, finv, g, metric: StrainMetric) -> _Fold:
+    """Fold of the matrices ``mus``; merging it keeps only the tie band."""
+    d = distance_to_identity_many((g @ mus.astype(float)) @ finv, metric)
+    return _Fold(m_min=float(d.min()), mus=mus, ds=d, count=int(d.size))
 
 
-def _fold_triples(products, finv, g, metric: StrainMetric, side: str, fold: _Fold) -> _Fold:
+def _fold_triples(products, finv, g, metric: StrainMetric, fold: _Fold) -> _Fold:
     """Merge into ``fold`` the determinant-one matrices of every shell
     triple in ``products``, gathering up to about ``_ROWS`` rows per
     evaluation.
@@ -265,18 +263,18 @@ def _fold_triples(products, finv, g, metric: StrainMetric, side: str, fold: _Fol
             pending.append(cols)
             rows += cols.shape[0]
             if rows >= _ROWS:
-                fold = _merge(fold, _evaluate(np.concatenate(pending), finv, g, metric, side))
+                fold = _merge(fold, _evaluate(np.concatenate(pending), finv, g, metric))
                 pending, rows = [], 0
     if pending:
-        fold = _merge(fold, _evaluate(np.concatenate(pending), finv, g, metric, side))
+        fold = _merge(fold, _evaluate(np.concatenate(pending), finv, g, metric))
     return fold
 
 
-def _shell_search(f, g, metric: StrainMetric, k: int, bound: SearchBound) -> _Fold:
-    """Fold over every matrix of the entry box within reach of the threshold.
+def _shell_search(f, g, metric: StrainMetric, k: int) -> _Fold:
+    """Fold over every matrix mu of the entry box within reach of the
+    threshold, for the direct problem F -> G at r > 0.
 
-    The searched matrix is mu (direct side) or mu^-1 (inverse side); a
-    column whose lower bound exceeds the threshold t cannot belong to a
+    A column whose lower bound exceeds the threshold t cannot belong to a
     matrix at distance t or less.  The search starts at the largest
     per-column minimum bound, below which no matrix lies, and raises t
     pass by pass.  Each pass evaluates only the triples with a newly
@@ -287,9 +285,8 @@ def _shell_search(f, g, metric: StrainMetric, k: int, bound: SearchBound) -> _Fo
     above the band, or to m_min while that is out of reach; with nothing
     found yet it grows by (1 + t)/2, and at least to the next column bound.
     """
-    a, b = (g, f) if bound.side == "direct" else (f, g)
     box = _box_triples(k)
-    lower = _column_bounds(a, b, abs(metric.r), box)
+    lower = _column_bounds(g, f, metric.r, box)
     finv = inverse(f)
     fold = _Fold()
     old = np.zeros_like(lower, dtype=bool)
@@ -301,7 +298,7 @@ def _shell_search(f, g, metric: StrainMetric, k: int, bound: SearchBound) -> _Fo
         parts = ((new[0], inside[1], inside[2]), (old[0], new[1], inside[2]),
                  (old[0], old[1], new[2]))
         products = [[box[m] for m in p] for p in parts if all(m.any() for m in p)]
-        fold = _fold_triples(products, finv, g, metric, bound.side, fold)
+        fold = _fold_triples(products, finv, g, metric, fold)
         if fold.m_second <= reach or inside.all():
             return fold
         old = inside
@@ -379,6 +376,8 @@ def solve(f, g, metric: StrainMetric, *, k: int | None = None,
     ``bound`` and ``k_used`` then describe that reduced problem, the
     guard applies to its radius, and the minimizers are mapped back to
     the caller's bases, which ``parent`` and ``product`` keep.
+    At r < 0 the search runs G -> F at |r| over mu^-1, which a forced
+    ``k`` bounds, and H = G mu F^-1 is formed for the tie band only.
     """
     f = _require_generator(f, "parent")
     g = _require_generator(g, "product")
@@ -397,12 +396,15 @@ def solve(f, g, metric: StrainMetric, *, k: int | None = None,
         raise ValueError(f"k must be a positive integer, got {k_used}")
     if k_used > guard:
         raise BudgetExceeded(f"search radius k={k_used} exceeds the practical guard {guard}")
-    fold = _shell_search(fs, gs, metric, k_used, bound)
+    a, b = (fs, gs) if metric.r > 0 else (gs, fs)
+    fold = _shell_search(a, b, StrainMetric(abs(metric.r)), k_used)
     if fold.count == 0:
         raise RuntimeError("candidate enumeration produced no matrices")
 
-    mus = fold.mus if back is None else back[0] @ fold.mus @ back[1]
-    minimizers = [Minimizer(mu=mus[i].copy(), h=fold.hs[i].copy()) for i in _lex_unique(mus)]
+    mus = fold.mus if metric.r > 0 else adjugate(fold.mus)
+    hs = (gs @ mus.astype(float)) @ inverse(fs)
+    mus = mus if back is None else back[0] @ mus @ back[1]
+    minimizers = [Minimizer(mu=mus[i].copy(), h=hs[i].copy()) for i in _lex_unique(mus)]
 
     classes = group_classes([m.h for m in minimizers])
     m_min = fold.m_min
@@ -473,7 +475,7 @@ def _basis_point_group(key: bytes) -> np.ndarray:
         raise BudgetExceeded(f"the lattice's own search radius k={bound.k} exceeds the guard")
     box = _box_triples(bound.k)
     shells = [box[m] for m in _column_bounds(f, f, 1.0, box) <= _SLACK]
-    group = _fold_triples([shells], inverse(f), f, metric, "direct", _Fold()).mus
+    group = _fold_triples([shells], inverse(f), f, metric, _Fold()).mus
     if u is not None:
         group = u @ group @ adjugate(u)
     group.setflags(write=False)

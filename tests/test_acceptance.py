@@ -260,7 +260,7 @@ def test_criterion_6_property_suites():
 
 def test_criterion_7_region_scan():
     def body():
-        factor = app.sl1_transform_norm_max()
+        factor = app.SL1_TRANSFORM_NORM_MAX
         assert abs(factor - 27.0**0.5) <= 1e-12
 
         result = app.bct_region_scan(a_range=(0.75, 1.7), c_range=(0.75, 1.7), step=0.005)

@@ -10,6 +10,7 @@ from lattrans import applications as app
 from lattrans import optimizer
 from lattrans.matrix3 import det
 from lattrans.metrics import StrainMetric, distance_to_identity
+from lattrans.unimodular import materialize_slk
 
 from conftest import BAIN_MU0, FCC
 
@@ -127,7 +128,13 @@ def test_excited_matches_exhaustive_radius_two_scan():
 
 
 def test_sl1_constant_recomputed_exactly():
-    assert abs(app.sl1_transform_norm_max() - math.sqrt(27.0)) < 1e-12
+    # the products mu F^-1 of the radius-1 box are integer matrices, so
+    # their squared Frobenius norms are exact integers
+    finv = np.rint(np.linalg.inv(app.fcc_basis())).astype(np.int64)
+    assert np.array_equal(finv @ app.fcc_basis(), np.eye(3))
+    squared = ((materialize_slk(1) @ finv) ** 2).sum(axis=(1, 2))
+    assert squared.max() == 27 and (squared == 27).sum() == 216
+    assert app.SL1_TRANSFORM_NORM_MAX == math.sqrt(squared.max())
 
 
 def test_flags_at_unit_cell():

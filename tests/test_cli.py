@@ -289,6 +289,32 @@ def test_structured_output_is_valid_json(capsys):
     assert doc["certified"] is True
 
 
+def test_solve_fcc_bcc_negative_exponent_prints_the_closed_form(capsys):
+    """fcc -> bcc at r = -2 prints m_min 0.655865033229 (earlier ...228).
+
+    The Bain stretch has principal stretches 2**(1/6) (twice) and
+    2**(-1/3), so m_min = sqrt((2**(2/3) - 1)**2 + 2 (2**(-1/3) - 1)**2)
+    = 0.65586503322850014..., which rounds to ...229 at 12 digits.  The
+    closed form is evaluated here in 40-digit decimals, without
+    ``lattrans``.  The earlier digit came from eigenvalues of H^T H
+    raised to the power -1; the search now evaluates the inverse problem
+    at r = 2 as |K^T K - I|_F, which gives 0.6558650332285001.
+    """
+    import decimal
+    import json
+
+    with decimal.localcontext(decimal.Context(prec=40)):
+        two = decimal.Decimal(2)
+        a, b = two ** (decimal.Decimal(2) / 3), two ** (decimal.Decimal(-1) / 3)
+        closed = ((a - 1) ** 2 + 2 * (b - 1) ** 2).sqrt()
+    assert format(closed, ".12g") == "0.655865033229"
+    assert str(closed).startswith("0.6558650332285001")
+    code, out, _ = run(["solve", "fcc", "bcc", "--r", "-2", "--format", "structured"], capsys)
+    assert code == 0
+    assert json.loads(out)["m_min"] == 0.655865033229
+    assert '"m_min": 0.655865033229,' in out
+
+
 # Bad lattice tokens for the CLI fuzz below: each must exit 2 with one
 # error line, no traceback and no warning (warnings are errors here).
 _NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "-nan"])

@@ -11,7 +11,7 @@ from lattrans import optimizer
 from lattrans.applications import bct_basis
 from lattrans.errors import BudgetExceeded, NotRightHanded, SingularMatrix
 from lattrans.lattice import same_lattice
-from lattrans.matrix3 import det, inverse
+from lattrans.matrix3 import adjugate, det, inverse
 from lattrans.metrics import StrainMetric, distance_to_identity, tie_tolerance
 from lattrans.unimodular import _box_triples, integer_inverse_batch, materialize_slk
 
@@ -247,7 +247,8 @@ def test_shell_search_matches_exhaustive_box_random_bct_certified(a, c, r):
                                      ("fcc-fcc", 2.0)])
 def test_shell_search_evaluates_each_triple_once(cell, r, monkeypatch):
     # every evaluated H = G mu F^-1 names its mu; none may come twice, over
-    # all threshold passes, and no more than the box holds
+    # all threshold passes, and no more than the box holds.  r < 0 searches
+    # G -> F at |r|: each evaluated K = F mu' G^-1 names mu' = mu^-1
     f, g = CELLS[cell]
     evaluated = []
     evaluator = optimizer.distance_to_identity_many
@@ -259,10 +260,12 @@ def test_shell_search_evaluates_each_triple_once(cell, r, monkeypatch):
     monkeypatch.setattr(optimizer, "distance_to_identity_many", spy)
     metric = StrainMetric(r)
     rep = optimizer.solve(f, g, metric)
-    mus = np.rint(inverse(g) @ np.concatenate(evaluated) @ f).astype(np.int64)
+    a, b = (f, g) if r > 0 else (g, f)
+    searched = np.rint(inverse(b) @ np.concatenate(evaluated) @ a).astype(np.int64)
+    mus = searched if r > 0 else adjugate(searched)
     assert len(mus) == rep.candidates <= materialize_slk(rep.k_used).shape[0]
     assert len(np.unique(mus.reshape(-1, 9), axis=0)) == len(mus)
-    fold = optimizer._shell_search(f, g, metric, rep.k_used, rep.bound)
+    fold = optimizer._shell_search(a, b, StrainMetric(abs(r)), rep.k_used)
     assert len(optimizer._lex_unique(fold.mus)) == len(fold.mus) == len(rep.minimizers)
 
 
@@ -309,6 +312,18 @@ def test_ranked_negative_exponent_uses_inverse_box():
         math.sqrt((2 ** (2 / 3) - 1) ** 2 + 2 * (2 ** (-1 / 3) - 1) ** 2), abs=1e-12
     )
     assert len(rep.minimizers) == 72
+
+
+def test_negative_exponent_keeps_accuracy_at_high_condition():
+    # G = Q diag(s, 1, 1/s) at r = -2: the identity correspondence sits at
+    # sqrt((s**2 - 1)**2 + (s**-2 - 1)**2); eigenvalues of H^T H raised to
+    # the power -1 lose about 1e-9 of it at s = 100
+    s = 100.0
+    g = random_rotation(np.random.default_rng(7)) @ np.diag([s, 1.0, 1.0 / s])
+    rep = optimizer.solve(np.eye(3), g, DM2, k=1)
+    want = math.sqrt((s**2 - 1.0) ** 2 + (s**-2 - 1.0) ** 2)
+    assert abs(rep.m_min - want) <= 1e-12 * want
+    assert (1, 0, 0, 0, 1, 0, 0, 0, 1) in {tuple(m.mu.ravel()) for m in rep.minimizers}
 
 
 def test_streaming_path_beyond_materialisation_matches_cached():
