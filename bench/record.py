@@ -3,23 +3,24 @@
     python3 bench/record.py --checkout parent=../parent --checkout change=. \\
         --out BENCH_<n>.json
 
-Each ``--checkout NAME=PATH`` becomes one column (default: one column
-``change`` for this checkout).  Each case is one ``lattrans`` CLI command,
-run ``--rounds`` times per column in a fresh interpreter that imports
-``lattrans`` from the checkout's ``src/``.  The columns alternate within
-each round (ABAB...), so a slow spell of the machine falls on every
-column alike.  A case records, per column, the median and the quartiles
-of ``call_s`` (the command inside the interpreter, after imports) and of
-``process_s`` (the whole process, as a shell user waits for it), and
-every exit code.  Each column also holds the tier-1 wall time (one run
-of the test suite in the checkout), the CPU count, and the Python and
-numpy versions.
+Each ``--checkout NAME=PATH`` becomes one column; at least two are
+required, so every BENCH file compares its columns within one run.  Each
+case is one ``lattrans`` CLI command, run ``ROUNDS`` times per column in
+a fresh interpreter that imports ``lattrans`` from the checkout's
+``src/``.  The columns alternate within each round, and the order
+reverses on every other round (AB BA AB ...), so neither a slow spell of
+the machine nor the position in a round favours one column.  A case
+records, per column, the median and the quartiles of ``call_s`` (the
+command inside the interpreter, after imports) and of ``process_s`` (the
+whole process, as a shell user waits for it), and every exit code.  Each
+column also holds the tier-1 wall time (one run of the test suite in the
+checkout), the CPU count, and the Python and numpy versions.
 
 The recorder pins itself, and so every command it starts, to the lowest
 CPU it may run on: on small virtual machines the CPUs can differ in
 speed, and the scheduler's choice would otherwise set a case's time.
 
-``--out`` keeps the other columns of an existing file.  Measure a parent
+``--out`` is overwritten with this run's columns.  Measure a parent
 commit from a clean copy of it, not from an edited tree.
 """
 
@@ -110,7 +111,7 @@ def run_tier1(checkout: Path) -> dict:
             "summary": lines[-1] if lines else ""}
 
 
-def record(checkouts: dict, rounds: int) -> dict:
+def record(checkouts: dict) -> dict:
     """One column per checkout; every case runs its columns alternately."""
     import numpy
 
@@ -126,10 +127,11 @@ def record(checkouts: dict, rounds: int) -> dict:
             "numpy": numpy.__version__,
             "cases": {},
         }
+    order = list(checkouts.items())
     for case, argv in CASES.items():
         runs = {name: [] for name in checkouts}
-        for _ in range(rounds):
-            for name, checkout in checkouts.items():
+        for i in range(ROUNDS):
+            for name, checkout in order if i % 2 == 0 else order[::-1]:
                 runs[name].append(run_once(checkout, argv))
         for name in checkouts:
             columns[name]["cases"][case] = summarise(runs[name])
@@ -151,21 +153,19 @@ def _column(text: str) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=_column, action="append", metavar="NAME=PATH",
+                        required=True,
                         help="a column and the root of the lattrans checkout it measures "
-                             "(repeatable; default: change=this checkout)")
-    parser.add_argument("--rounds", type=int, default=ROUNDS,
-                        help=f"alternating runs per case and column (default {ROUNDS})")
-    parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to update")
+                             "(give at least two)")
+    parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to write")
     args = parser.parse_args(argv)
-    checkouts = dict(args.checkout or [("change", Path(__file__).resolve().parent.parent)])
+    checkouts = dict(args.checkout)
+    if len(checkouts) < 2:
+        parser.error("give at least two --checkout columns with distinct names")
     for path in checkouts.values():
         if not (path / "src" / "lattrans").is_dir():
             parser.error(f"{path} holds no src/lattrans")
-    if args.rounds < 2:
-        parser.error("--rounds must be at least 2, for the quartiles")
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {"columns": {}}
-    doc["columns"].update(record(checkouts, args.rounds))
+    doc = {"columns": record(checkouts)}
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 

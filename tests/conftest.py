@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lattrans import applications
+from lattrans.unimodular import materialize_slk
 
 pytest_plugins = ["pytester"]
 
@@ -41,6 +42,17 @@ def random_well_conditioned(rng, lo=0.3, hi=3.0):
 FCC = applications.fcc_basis()
 BCC = applications.bcc_basis()
 BAIN_MU0 = applications.BAIN_MU0
+
+
+def sl1_squared_transform_norms():
+    """Squared Frobenius norms of mu F^-1 over the radius-1 box, F = fcc.
+
+    F^-1 is an integer matrix, so every product and norm is an exact
+    integer; their maximum squares to ``SL1_TRANSFORM_NORM_MAX``.
+    """
+    finv = np.rint(np.linalg.inv(FCC)).astype(np.int64)
+    assert np.array_equal(finv @ FCC, np.eye(3))
+    return ((materialize_slk(1) @ finv) ** 2).sum(axis=(1, 2))
 
 # Published primitive cells of the two Terephthalic Acid forms (angstrom,
 # three decimals) and the published optimal stretch factors.

@@ -29,7 +29,14 @@ import numpy as np
 from lattrans import applications as app
 from lattrans import lattice, metrics, optimizer, unimodular
 
-from conftest import BAIN_MU0, BCC, FCC, random_rotation, random_well_conditioned
+from conftest import (
+    BAIN_MU0,
+    BCC,
+    FCC,
+    random_rotation,
+    random_well_conditioned,
+    sl1_squared_transform_norms,
+)
 
 D1 = metrics.StrainMetric(1.0)
 D2 = metrics.StrainMetric(2.0)
@@ -261,6 +268,7 @@ def test_criterion_6_property_suites():
 def test_criterion_7_region_scan():
     def body():
         factor = app.SL1_TRANSFORM_NORM_MAX
+        assert factor == math.sqrt(sl1_squared_transform_norms().max())
         assert abs(factor - 27.0**0.5) <= 1e-12
 
         result = app.bct_region_scan(a_range=(0.75, 1.7), c_range=(0.75, 1.7), step=0.005)

@@ -10,9 +10,8 @@ from lattrans import applications as app
 from lattrans import optimizer
 from lattrans.matrix3 import det
 from lattrans.metrics import StrainMetric, distance_to_identity
-from lattrans.unimodular import materialize_slk
 
-from conftest import BAIN_MU0, FCC
+from conftest import BAIN_MU0, FCC, sl1_squared_transform_norms
 
 
 def test_standard_bases_shapes_and_density():
@@ -128,11 +127,7 @@ def test_excited_matches_exhaustive_radius_two_scan():
 
 
 def test_sl1_constant_recomputed_exactly():
-    # the products mu F^-1 of the radius-1 box are integer matrices, so
-    # their squared Frobenius norms are exact integers
-    finv = np.rint(np.linalg.inv(app.fcc_basis())).astype(np.int64)
-    assert np.array_equal(finv @ app.fcc_basis(), np.eye(3))
-    squared = ((materialize_slk(1) @ finv) ** 2).sum(axis=(1, 2))
+    squared = sl1_squared_transform_norms()
     assert squared.max() == 27 and (squared == 27).sum() == 216
     assert app.SL1_TRANSFORM_NORM_MAX == math.sqrt(squared.max())
 
