@@ -9,10 +9,13 @@ case is one ``lattrans`` CLI command, run ``ROUNDS`` times per column in
 a fresh interpreter that imports ``lattrans`` from the checkout's
 ``src/``.  The columns alternate within each round, and the order
 reverses on every other round (AB BA AB ...), so neither a slow spell of
-the machine nor the position in a round favours one column.  A case
-records, per column, the median and the quartiles of ``call_s`` (the
-command inside the interpreter, after imports) and of ``process_s`` (the
-whole process, as a shell user waits for it), and every exit code.  Each
+the machine nor the position in a round favours one column.  The
+interpreter runs the command twice.  A case records, per column, the
+median and the quartiles of ``call_s`` (the first call, after imports,
+as a shell user meets it: mostly first-call set-up), of ``warm_s`` (the
+second call in the same process, which shows the work of the command
+itself) and of ``process_s`` (the whole process, both calls), and every
+exit code.  Each
 column also holds the tier-1 wall time (one run of the test suite in the
 checkout), the CPU count, and the Python and numpy versions.
 
@@ -56,17 +59,22 @@ CASES = {
     "count-sl --k 6": ["count-sl", "--k", "6"],
 }
 
-# Runs one CLI command with its output discarded and prints the seconds
-# it took after imports, its exit code and where lattrans was imported from.
+# Runs one CLI command twice with its output discarded and prints the
+# seconds each call took after imports, the exit code (the same for both
+# calls) and where lattrans was imported from.
 _CHILD = """
 import contextlib, io, json, sys, time
 import lattrans
 from lattrans import cli
-start = time.perf_counter()
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[1:])
-seconds = time.perf_counter() - start
-print(json.dumps({"call_s": seconds, "exit": code, "module": lattrans.__file__}))
+seconds, codes = [], []
+for _ in range(2):
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(sys.argv[1:]))
+    seconds.append(time.perf_counter() - start)
+assert codes[0] == codes[1], codes
+print(json.dumps({"call_s": seconds[0], "warm_s": seconds[1], "exit": codes[0],
+                  "module": lattrans.__file__}))
 """
 
 
@@ -78,7 +86,7 @@ def _environment(checkout: Path) -> dict:
 
 
 def run_once(checkout: Path, argv: list) -> tuple:
-    """(call_s, process_s, exit code) of one fresh-process run."""
+    """(call_s, warm_s, process_s, exit code) of one fresh-process run."""
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], cwd=checkout,
                           env=_environment(checkout), capture_output=True, text=True,
@@ -89,13 +97,14 @@ def run_once(checkout: Path, argv: list) -> tuple:
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not Path(result["module"]).resolve().is_relative_to((checkout / "src").resolve()):
         raise RuntimeError(f"lattrans was not imported from {checkout / 'src'}")
-    return result["call_s"], wall, result["exit"]
+    return result["call_s"], result["warm_s"], wall, result["exit"]
 
 
 def summarise(runs: list) -> dict:
-    """Median and quartiles of ``call_s`` and ``process_s`` over ``runs``."""
-    out = {"exit": [code for _, _, code in runs], "runs": len(runs)}
-    for i, key in enumerate(("call_s", "process_s")):
+    """Median and quartiles of ``call_s``, ``warm_s`` and ``process_s``
+    over ``runs``."""
+    out = {"exit": [run[-1] for run in runs], "runs": len(runs)}
+    for i, key in enumerate(("call_s", "warm_s", "process_s")):
         q1, median, q3 = statistics.quantiles([run[i] for run in runs], n=4, method="inclusive")
         out[key], out[f"{key}_quartiles"] = median, [q1, q3]
     return out
@@ -135,7 +144,8 @@ def record(checkouts: dict) -> dict:
                 runs[name].append(run_once(checkout, argv))
         for name in checkouts:
             columns[name]["cases"][case] = summarise(runs[name])
-        print(case + ": " + ", ".join(f"{name} {columns[name]['cases'][case]['call_s']:.4f} s"
+        print(case + ": " + ", ".join(f"{name} {columns[name]['cases'][case]['call_s']:.4f} s "
+                                      f"(warm {columns[name]['cases'][case]['warm_s']:.4f} s)"
                                       for name in checkouts), file=sys.stderr)
     for name, checkout in checkouts.items():
         columns[name]["tier1"] = run_tier1(checkout)

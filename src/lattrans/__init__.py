@@ -32,24 +32,15 @@ from .errors import (
     NotRightHanded,
     SingularMatrix,
     VerificationFailed,
-    ZeroVector,
 )
 from .lattice import (
-    LatticeSpec,
     TriclinicParams,
     cubic_point_group,
     primitive_from_centred,
-    resolve_primitive,
-    same_lattice,
     triclinic_to_primitive,
 )
 from .matrix3 import det, inverse, singular_values, spd_power
-from .metrics import (
-    StrainMetric,
-    distance,
-    distance_to_identity,
-    vector_stretch_bound,
-)
+from .metrics import StrainMetric, distance, distance_to_identity
 from .optimizer import (
     OptimalityReport,
     SearchBound,

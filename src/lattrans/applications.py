@@ -138,10 +138,15 @@ def bain_spectrum(scale: float = 1.0) -> tuple:
 
 def bain_min_distance(metric: StrainMetric, scale: float = 1.0) -> float:
     """Closed-form ground distance of the (volume-scaled) cubic case."""
-    r = metric.r
-    small = (scale * 2.0 ** (-1.0 / 3.0)) ** r
-    large = (scale * 2.0 ** (1.0 / 6.0)) ** r
-    return math.sqrt((small - 1.0) ** 2 + 2.0 * (large - 1.0) ** 2)
+    return float(_bct_ground_distance(scale, scale, metric.r))
+
+
+def _bct_ground_distance(a_scale, c_scale, r: float):
+    """Distance of diag(2^(1/6)A, 2^(1/6)A, 2^(-1/3)C) to the identity,
+    elementwise over array scales."""
+    planar = (2.0 ** (1.0 / 6.0) * a_scale) ** r
+    axial = (2.0 ** (-1.0 / 3.0) * c_scale) ** r
+    return np.sqrt(2.0 * (planar - 1.0) ** 2 + (axial - 1.0) ** 2)
 
 
 def bain_excited_distance(metric: StrainMetric, scale=1.0):
@@ -261,14 +266,6 @@ def bain_with_volume(scale: float, metric: StrainMetric) -> dict:
     }
 
 
-def _bct_ground_distance(a_scale, c_scale, r: float):
-    """Distance of diag(2^(1/6)A, 2^(1/6)A, 2^(-1/3)C) to the identity,
-    elementwise over array scales."""
-    planar = (2.0 ** (1.0 / 6.0) * a_scale) ** r
-    axial = (2.0 ** (-1.0 / 3.0) * c_scale) ** r
-    return np.sqrt(2.0 * (planar - 1.0) ** 2 + (axial - 1.0) ** 2)
-
-
 def _gram(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2) @ m
 
@@ -286,14 +283,6 @@ def _margin(excited, r: float, lam, ref, target):
     if r == 1.0:
         return excited - lam * factor * frobenius(ref - target)
     return excited - lam**2 * factor**2 * frobenius(_gram(ref) - _gram(target))
-
-
-def bct_ground_spectrum(a_scale: float, c_scale: float) -> tuple:
-    return (
-        2.0 ** (1.0 / 6.0) * a_scale,
-        2.0 ** (1.0 / 6.0) * a_scale,
-        2.0 ** (-1.0 / 3.0) * c_scale,
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -431,9 +420,16 @@ class RegionScanResult:
         raise KeyError(f"no grid cell at ({a_scale}, {c_scale})")
 
 
-def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    n = int(round((hi - lo) / step))
-    return np.round(lo + step * np.arange(n + 1), 12)
+def _grid(name: str, lo: float, hi: float, step: float) -> np.ndarray:
+    """The points lo, lo + step, ... up to hi, rounded to 12 decimals;
+    ValueError unless 0 < lo <= hi < inf and the count is finite."""
+    if not 0.0 < lo <= hi < math.inf:
+        raise ValueError(f"the {name} range must be finite and positive with min <= max, "
+                         f"got ({lo!r}, {hi!r})")
+    n = (hi - lo) / step
+    if not math.isfinite(n):
+        raise ValueError(f"the {name} range ({lo!r}, {hi!r}) holds too many steps of {step!r}")
+    return np.round(lo + step * np.arange(int(round(n)) + 1), 12)
 
 
 def bct_region_scan(a_range: tuple = (0.7, 1.8), c_range: tuple = (0.7, 1.8),
@@ -443,12 +439,13 @@ def bct_region_scan(a_range: tuple = (0.7, 1.8), c_range: tuple = (0.7, 1.8),
 
     ``iterations`` > 0 re-anchors uncertified cells on already-certified
     ones, chaining the perturbation inequality through the certified
-    cell's excited-state lower bound.
+    cell's excited-state lower bound.  ValueError unless both ranges are
+    finite and positive with min <= max and the step is finite and positive.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    a_values = _grid(*a_range, step)
-    c_values = _grid(*c_range, step)
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be finite and positive, got {step!r}")
+    a_values = _grid("A", *a_range, step)
+    c_values = _grid("C", *c_range, step)
     cells = [flags for a in a_values for flags in _cell_flags(a, c_values)]
     for _ in range(max(0, int(iterations))):
         cells = _refine_extended(cells)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import applications
 from .errors import BudgetExceeded, LatTransError, VerificationFailed
-from .lattice import CENTRINGS, LatticeSpec, TriclinicParams, resolve_primitive
+from .lattice import CENTRINGS, TriclinicParams, primitive_from_centred, triclinic_to_primitive
 from .matrix3 import as_matrix3, det
 from .metrics import StrainMetric
 from .optimizer import OptimalityReport, solve
@@ -83,24 +83,23 @@ def _resolve_lattice(text: str, fix_handedness: bool) -> np.ndarray:
         raise InputError(f"could not parse lattice {text!r}: {exc}") from None
 
     if len(values) == 9:
-        basis = as_matrix3(np.reshape(values, (3, 3)))
-        if det(basis) < 0:
+        cell = as_matrix3(np.reshape(values, (3, 3)))
+        if det(cell) < 0:
             if not fix_handedness:
                 raise InputError(
                     "basis is left-handed; pass --fix-handedness to relabel "
                     "(swaps the first two lattice vectors)"
                 )
-            basis = basis[:, [1, 0, 2]]
-        spec = LatticeSpec(basis=basis, centring=centring)
-    elif len(values) == 6:
-        spec = LatticeSpec(triclinic=TriclinicParams(*values), centring=centring)
-    else:
+            cell = cell[:, [1, 0, 2]]
+    elif len(values) != 6:
         raise InputError(
             f"expected a builtin name, 9 basis entries or 6 triclinic "
             f"parameters, got {len(values)} numbers"
         )
     try:
-        return resolve_primitive(spec)
+        if len(values) == 6:
+            cell = triclinic_to_primitive(TriclinicParams(*values))
+        return primitive_from_centred(cell, centring)
     except (ValueError, LatTransError) as exc:
         raise InputError(str(exc)) from None
 

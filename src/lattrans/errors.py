@@ -21,10 +21,6 @@ class InfeasibleAngles(LatTransError):
     """A triclinic angle triple does not describe a realisable cell."""
 
 
-class ZeroVector(LatTransError):
-    """A vector required to be nonzero is zero."""
-
-
 class BudgetExceeded(LatTransError):
     """An enumeration radius exceeds the configured practical guard."""
 

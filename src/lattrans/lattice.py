@@ -3,14 +3,12 @@
 Bases (columns are lattice vectors, in length units such as angstroms;
 the atom density of a primitive basis B is 1 / det(B)), conventional-cell
 centrings and their primitive equivalents, conversion from triclinic cell
-parameters, the 24-element rotation group of the cube, and
-identical-basis testing.
+parameters, and the 24-element rotation group of the cube.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from math import cos, radians, sin, sqrt
@@ -18,19 +16,13 @@ from math import cos, radians, sin, sqrt
 import numpy as np
 
 from .errors import InfeasibleAngles, NotRightHanded
-from .matrix3 import as_matrix3, det, inverse
-
-log = logging.getLogger(__name__)
+from .matrix3 import as_matrix3, det
 
 CENTRINGS = ("P", "C", "I", "F")
 
-#: Integrality tolerance: a float entry counts as an integer when within
-#: this distance of one.  Lattice parameters carry ~4 significant digits,
-#: so this cleanly separates rounding noise from genuine non-integrality.
-INT_TOL = 1e-6
-
 # Column-combination matrices taking a conventional cell {a, b, c} to a
 # primitive cell generating the same lattice (primitive = basis @ T).
+# det T = 1, 1/2, 1/2, 1/4, so each keeps the basis right-handed.
 _CENTRING_T = {
     "P": np.eye(3),
     # {(a-b)/2, (a+b)/2, c}
@@ -56,14 +48,7 @@ def primitive_from_centred(basis, centring: str) -> np.ndarray:
         t = _CENTRING_T[centring]
     except KeyError:
         raise ValueError(f"unknown centring {centring!r}; expected one of {CENTRINGS}")
-    prim = b @ t
-    if det(prim) <= 0.0:
-        # Unreachable for valid input: every conversion above preserves
-        # orientation.  Kept as a defensive relabeling (swapping two
-        # columns does not change the generated point set).
-        log.warning("centring conversion flipped orientation; swapping columns 1 and 2")
-        prim = prim[:, [1, 0, 2]]
-    return prim
+    return b @ t
 
 
 @dataclass(frozen=True)
@@ -110,34 +95,6 @@ def triclinic_to_primitive(p: TriclinicParams) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    """User-facing lattice description.
-
-    Exactly one of ``basis`` (columns are lattice vectors) or
-    ``triclinic`` must be given; ``centring`` describes the conventional
-    cell and defaults to primitive.
-    """
-
-    basis: np.ndarray | None = None
-    triclinic: TriclinicParams | None = None
-    centring: str = "P"
-
-    def __post_init__(self):
-        if (self.basis is None) == (self.triclinic is None):
-            raise ValueError("give exactly one of basis or triclinic parameters")
-        if self.centring not in CENTRINGS:
-            raise ValueError(f"unknown centring {self.centring!r}")
-        if self.basis is not None:
-            object.__setattr__(self, "basis", as_matrix3(self.basis))
-
-
-def resolve_primitive(spec: LatticeSpec) -> np.ndarray:
-    """Primitive generator matrix for a lattice description."""
-    cell = spec.basis if spec.basis is not None else triclinic_to_primitive(spec.triclinic)
-    return primitive_from_centred(cell, spec.centring)
-
-
 @lru_cache(maxsize=1)
 def cubic_point_group() -> np.ndarray:
     """The 24 rotation matrices mapping a cube to itself.
@@ -158,21 +115,3 @@ def cubic_point_group() -> np.ndarray:
     group = np.stack(mats)
     group.setflags(write=False)
     return group
-
-
-def same_lattice(f, g) -> np.ndarray | None:
-    """Change of basis mu with G = F mu, if the two bases generate the
-    same lattice; None otherwise.
-
-    mu is returned as an integer matrix with determinant +1.
-    """
-    f = as_matrix3(f)
-    g = as_matrix3(g)
-    mu_f = inverse(f) @ g
-    mu = np.rint(mu_f)
-    if np.abs(mu_f - mu).max() > INT_TOL:
-        return None
-    mu = mu.astype(np.int64)
-    if det(mu) != 1:
-        return None
-    return mu

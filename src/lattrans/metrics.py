@@ -22,7 +22,6 @@ import math
 
 import numpy as np
 
-from .errors import ZeroVector
 from .matrix3 import _require_invertible, as_matrix3, singular_values
 
 #: Two distances tie when |d1 - d2| <= TIE_REL_TOL * (1 + m_min).  Exact
@@ -60,10 +59,12 @@ def distance_to_identity(h, metric: StrainMetric) -> float:
 
     Negative exponents act on the singular values directly, so
     near-singular intermediate matrices are never inverted.  Agrees with
-    ``distance(h, identity)`` to 1e-10.
+    ``distance(h, identity)`` to 1e-10.  A power past the float range
+    gives an infinite distance, as in the bulk path.
     """
     nu = singular_values(h)
-    return float(np.sqrt(((nu**metric.r - 1.0) ** 2).sum()))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(((nu**metric.r - 1.0) ** 2).sum()))
 
 
 def distance_to_identity_many(hs: np.ndarray, metric: StrainMetric) -> np.ndarray:
@@ -73,16 +74,16 @@ def distance_to_identity_many(hs: np.ndarray, metric: StrainMetric) -> np.ndarra
     H^T H), with no eigen-decomposition and an absolute rounding error
     near 1e-16 |H|_F**2; other exponents take a batched ``eigvalsh`` of
     H^T H, which agrees with the SVD of the scalar path to 1e-12 for
-    well-conditioned H.
+    well-conditioned H.  A power past the float range (a large |r|)
+    gives an infinite distance, without a warning.
     """
     h = np.asarray(hs, dtype=float)
     gram = np.einsum("nji,njk->nik", h, h)
-    if metric.r == 2.0:
-        return np.sqrt(((gram - np.eye(3)) ** 2).sum(axis=(1, 2)))
-    lam = np.maximum(np.linalg.eigvalsh(gram), 0.0)
-    with np.errstate(divide="ignore"):
-        powered = lam ** (metric.r / 2.0)
-    return np.sqrt(((powered - 1.0) ** 2).sum(axis=1))
+    with np.errstate(over="ignore", divide="ignore"):
+        if metric.r == 2.0:
+            return np.sqrt(((gram - np.eye(3)) ** 2).sum(axis=(1, 2)))
+        lam = np.maximum(np.linalg.eigvalsh(gram), 0.0)
+        return np.sqrt(((lam ** (metric.r / 2.0) - 1.0) ** 2).sum(axis=1))
 
 
 def distance_many(fs: np.ndarray, gs: np.ndarray, metric: StrainMetric) -> np.ndarray:
@@ -96,21 +97,3 @@ def distance_many(fs: np.ndarray, gs: np.ndarray, metric: StrainMetric) -> np.nd
 
     diff = gram_power(fs) - gram_power(gs)
     return np.sqrt((diff**2).sum(axis=(1, 2)))
-
-
-def vector_stretch_bound(h, f, metric: StrainMetric) -> float:
-    """Lower bound on distance_to_identity from one transformed vector.
-
-    For s = r > 0, |H f|**s / |f|**s - 1 never exceeds the identity
-    distance, which is what lets the search radius be finite.
-    """
-    if metric.r <= 0.0:
-        raise ValueError("the stretch-ratio bound applies to positive exponents")
-    h = as_matrix3(h)
-    _require_invertible(h)
-    fv = np.asarray(f, dtype=float).reshape(3)
-    norm = float(np.sqrt((fv * fv).sum()))
-    if norm == 0.0:
-        raise ZeroVector("lattice vector must be nonzero")
-    image = float(np.sqrt(((h @ fv) ** 2).sum()))
-    return (image / norm) ** metric.r - 1.0

@@ -202,8 +202,10 @@ def search_bound(f, g, metric: StrainMetric, hint_mus: Iterable | None = None) -
             m0_eff = min(m0_eff, distance_to_identity(g @ mu.astype(float) @ finv, metric))
     a, b, side = (f, g, "direct") if metric.r > 0 else (g, f, "inverse")
     col_max = float(np.sqrt((a * a).sum(axis=0)).max())
-    raw = (col_max / float(singular_values(b)[2])) ** s * (m0_eff + 1.0)
-    limit = raw ** (1.0 / s)
+    with np.errstate(over="ignore"):  # a power past the float range is an unbounded radius
+        raw = (col_max / singular_values(b)[2]) ** s * (m0_eff + 1.0)
+        limit = float(raw ** (1.0 / s))
+    raw = float(raw)
     if not math.isfinite(limit):
         raise BudgetExceeded(f"the certified search radius is unbounded (raw bound {raw!r})")
     # hypot(j + 1, 1) <= limit holds for every j < limit - 1, so start there;
@@ -216,13 +218,21 @@ def search_bound(f, g, metric: StrainMetric, hint_mus: Iterable | None = None) -
 
 
 def _column_bounds(a: np.ndarray, b: np.ndarray, s: float, box: np.ndarray) -> np.ndarray:
-    """Entry [j, i] bounds from below the distance of every matrix whose
-    column j is box[i]: |(|A v_i| / |b_j|)**s - 1|, the inequality of
-    :func:`metrics.vector_stretch_bound` for b_j mapped onto A v_i.
+    """Entry [j, i] bounds from below, at exponent s > 0, the distance of
+    every H = A mu B^-1 whose column j of mu is v_i = box[i].
+
+    H maps the column b_j of B onto A v_i, and a stretch ratio |H x|/|x|
+    lies between the least and the largest principal stretch nu of H, so
+
+        |(|A v_i| / |b_j|)**s - 1|  <=  max |nu**s - 1|
+                                   <=  sqrt(sum (nu**s - 1)**2).
+
+    A ratio whose power leaves the float range gives an infinite bound.
     """
     images = np.sqrt(((box @ a.T) ** 2).sum(axis=1))
     lengths = np.sqrt((b**2).sum(axis=0))
-    return np.abs((images[None, :] / lengths[:, None]) ** s - 1.0)
+    with np.errstate(over="ignore"):
+        return np.abs((images[None, :] / lengths[:, None]) ** s - 1.0)
 
 
 def _det1_blocks(shells):

@@ -196,11 +196,6 @@ def integer_inverse(mu) -> np.ndarray:
     return adjugate(_require_unimodular(mu))
 
 
-def integer_inverse_batch(mus: np.ndarray) -> np.ndarray:
-    """Vectorised exact inverse of (n, 3, 3) determinant-one matrices."""
-    return adjugate(np.asarray(mus, dtype=np.int64))
-
-
 def count_slk(k: int, naive: bool = False, guard: int = DEFAULT_GUARD) -> EnumerationStats:
     """Count SL^k, reporting how many candidates the search examined."""
     if naive:

@@ -438,3 +438,54 @@ def test_far_out_of_scale_cell_exceeds_the_budget_at_once(capsys):
     code, _, err = run(["solve", "1e50 1e50 1e50 90 90 90", "fcc"], capsys)
     assert code == 3
     assert "exceeds the practical guard" in err
+
+
+_NAMES = ("--a-min", "--a-max", "--c-min", "--c-max", "--step")
+
+
+@st.composite
+def _region_grids(draw):
+    """(argv, expected exit code): a grid of at most 7 x 7 cells, then maybe
+    one range reversed or some values replaced by one the scan cannot use."""
+    a, c = draw(st.floats(0.7, 1.5)), draw(st.floats(0.7, 1.5))
+    values = [a, a + draw(st.floats(0.0, 0.3)), c, c + draw(st.floats(0.0, 0.3)),
+              draw(st.floats(0.05, 0.3))]
+    kind = draw(st.sampled_from(["valid", "reversed", "bad"]))
+    if kind == "reversed":
+        i = draw(st.sampled_from([0, 2]))
+        values[i], values[i + 1] = values[i + 1] + 0.1, values[i]
+    fields = [repr(v) for v in values]
+    if kind == "bad":
+        fields = draw(_with_some(fields, st.sampled_from(["nan", "inf", "-inf", "0", "-1",
+                                                          "-0.05"])))
+    return [f"{name}={v}" for name, v in zip(_NAMES, fields)], 0 if kind == "valid" else 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(_region_grids())
+def test_region_refuses_a_grid_it_cannot_scan_in_one_line(case):
+    argv, expected = case
+    code, out, err = run_quiet(["region", *argv])
+    assert code == expected, (argv, err)
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == "" and out.startswith("A,C,") and out.count("\n") > 1
+
+
+_TEREPHTHALIC = ("7.730,6.443,3.749,92.75,109.15,95.95", "7.452,6.856,5.020,116.6,119.2,96.5")
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.one_of(st.floats(0.5, 3.0), st.floats(-3.0, -0.5),
+                   st.sampled_from([400.0, -400.0, 1500.0, 1e5, -1e5, 1e300, -1e300]),
+                   st.sampled_from(["nan", "inf", "-inf", "0", "-0"])),
+       cells=st.sampled_from([("fcc", "bcc"), _TEREPHTHALIC]))
+def test_solve_at_any_exponent_exits_without_a_traceback(r, cells):
+    code, out, err = run_quiet(["solve", *cells, f"--r={r}", "--format", "structured"])
+    assert code in (0, 2, 3), (r, err)
+    assert err.count("\n") <= 1, err
+    if code == 0:
+        assert '"m_min": ' in out and err == ""
+    else:
+        assert out == "" and err.startswith("error: ")

@@ -7,7 +7,7 @@ from lattrans import lattice, unimodular
 from lattrans.errors import InfeasibleAngles, NotRightHanded
 from lattrans.matrix3 import det, inverse
 
-from conftest import BAIN_MU0, BCC, FCC, TERE_F1, TERE_F2, random_invertible
+from conftest import BCC, FCC, TERE_F1, TERE_F2
 
 
 def test_face_centred_unit_cube_gives_fcc_cell():
@@ -148,42 +148,6 @@ def test_point_group_equals_orthogonal_unimodulars():
     assert members == orthogonal
 
 
-def test_same_lattice_identity():
-    assert np.array_equal(lattice.same_lattice(FCC, FCC), np.eye(3, dtype=np.int64))
-
-
-def test_same_lattice_recovers_change_of_basis():
-    got = lattice.same_lattice(FCC, FCC @ BAIN_MU0)
-    assert np.array_equal(got, BAIN_MU0)
-
-
-def test_same_lattice_rejects_different_lattices():
-    assert lattice.same_lattice(FCC, BCC) is None
-
-
-def test_same_lattice_random_changes_of_basis():
-    rng = np.random.default_rng(4)
-    pool = unimodular.materialize_slk(2)
-    for _ in range(1000):
-        f = random_invertible(rng, min_det=0.3)
-        if det(f) < 0:
-            f = f[:, [1, 0, 2]]
-        mu = pool[rng.integers(len(pool))]
-        got = lattice.same_lattice(f, f @ mu)
-        assert got is not None and np.array_equal(got, mu)
-
-
-def test_lattice_spec_validation():
-    with pytest.raises(ValueError):
-        lattice.LatticeSpec()
-    with pytest.raises(ValueError):
-        lattice.LatticeSpec(basis=np.eye(3), triclinic=lattice.TriclinicParams(1, 1, 1, 90, 90, 90))
-    with pytest.raises(ValueError):
-        lattice.LatticeSpec(basis=np.eye(3), centring="Q")
-
-
 def test_resolve_primitive_triclinic_centred():
-    spec = lattice.LatticeSpec(
-        triclinic=lattice.TriclinicParams(1.0, 1.0, 1.0, 90.0, 90.0, 90.0), centring="F"
-    )
-    assert np.allclose(lattice.resolve_primitive(spec), FCC)
+    cell = lattice.triclinic_to_primitive(lattice.TriclinicParams(1.0, 1.0, 1.0, 90.0, 90.0, 90.0))
+    assert np.allclose(lattice.primitive_from_centred(cell, "F"), FCC)

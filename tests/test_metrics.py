@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from lattrans import metrics
-from lattrans.errors import SingularMatrix, ZeroVector
-from lattrans.matrix3 import inverse
+from lattrans.errors import SingularMatrix
+from lattrans.matrix3 import adjugate, inverse
+from lattrans.optimizer import _column_bounds
+from lattrans.unimodular import materialize_slk
 
 from conftest import (
     TERE_F1,
@@ -133,29 +135,20 @@ def test_bulk_pair_distances_match_scalar():
         assert np.abs(bulk - reference).max() <= 1e-10 * (1.0 + reference.max())
 
 
-def test_stretch_bound_identity():
-    m = metrics.StrainMetric(1.0)
-    assert metrics.vector_stretch_bound(np.eye(3), np.array([1.0, 2.0, 0.5]), m) == 0.0
-
-
 def test_stretch_bound_never_exceeds_distance():
+    # the column bounds the shell search trusts, for H = G mu F^-1: at r = s
+    # column j of mu against f_j, at r = -s column j of adj(mu) = mu^-1
+    # against g_j, the swapped problem G -> F that solve searches
     rng = np.random.default_rng(7)
+    pool = materialize_slk(2)
     for s in (1.0, 2.0):
-        m = metrics.StrainMetric(s)
         for _ in range(1000):
-            h = random_invertible(rng)
-            f = rng.normal(size=3)
-            if np.linalg.norm(f) < 1e-8:
-                continue
-            bound = metrics.vector_stretch_bound(h, f, m)
-            assert bound <= metrics.distance_to_identity(h, m) + 1e-12
-
-
-def test_stretch_bound_input_validation():
-    with pytest.raises(ZeroVector):
-        metrics.vector_stretch_bound(np.eye(3), np.zeros(3), metrics.StrainMetric(1.0))
-    with pytest.raises(ValueError):
-        metrics.vector_stretch_bound(np.eye(3), np.ones(3), metrics.StrainMetric(-2.0))
+            f, g = random_invertible(rng), random_invertible(rng)
+            mu = pool[rng.integers(len(pool))]
+            h = g @ mu @ inverse(f)
+            for r, a, b, cols in ((s, g, f, mu), (-s, f, g, adjugate(mu))):
+                d = metrics.distance_to_identity(h, metrics.StrainMetric(r))
+                assert np.diag(_column_bounds(a, b, s, cols.T)).max() <= d + 1e-12
 
 
 # -- pseudometric structure ---------------------------------------------------

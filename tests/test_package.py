@@ -10,11 +10,10 @@ PUBLIC_NAMES = {
     "bcc_basis", "bct_basis", "bct_region_scan", "bct_stability_flags", "fcc_basis",
     "terephthalic_case", "verify_bain",
     "BudgetExceeded", "InfeasibleAngles", "LatTransError", "NotPositiveDefinite",
-    "NotRightHanded", "SingularMatrix", "VerificationFailed", "ZeroVector",
-    "LatticeSpec", "TriclinicParams", "cubic_point_group", "primitive_from_centred",
-    "resolve_primitive", "same_lattice", "triclinic_to_primitive",
+    "NotRightHanded", "SingularMatrix", "VerificationFailed",
+    "TriclinicParams", "cubic_point_group", "primitive_from_centred", "triclinic_to_primitive",
     "det", "inverse", "singular_values", "spd_power",
-    "StrainMetric", "distance", "distance_to_identity", "vector_stretch_bound",
+    "StrainMetric", "distance", "distance_to_identity",
     "OptimalityReport", "SearchBound", "group_classes", "point_group_orbit",
     "search_bound", "solve",
     "EnumerationStats", "count_slk", "integer_inverse", "materialize_slk",
