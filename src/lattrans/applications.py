@@ -215,19 +215,14 @@ def verify_bain(metric: StrainMetric) -> dict:
 
     Uses the known correspondence as a bound hint (the search stays
     exhaustive within the certified radius).  Returns a summary dict;
-    raises VerificationFailed listing every mismatched check.
+    raises VerificationFailed listing the mismatched checks.
     """
     if metric.r not in (1.0, 2.0, -2.0):
         raise ValueError("the cubic ground state is certified for exponents 1, 2 and -2")
-    report = solve(_FCC, _BCC, metric, hint_mus=[BAIN_MU0])
-    failures: list = []
-    _bain_class_checks(report, metric, 1.0, failures)
-    if metric.r == -2.0:
-        _check(failures, report.bound.side == "inverse" and report.k_used == 1,
-               f"negative exponent should search the inverse box at k=1, "
-               f"got {report.bound.side} k={report.k_used}")
-    if failures:
-        raise VerificationFailed(failures)
+    report = bain_with_volume(1.0, metric)["report"]
+    if metric.r == -2.0 and (report.bound.side, report.k_used) != ("inverse", 1):
+        raise VerificationFailed([f"negative exponent should search the inverse box at k=1, "
+                                  f"got {report.bound.side} k={report.k_used}"])
     return {
         "metric_r": metric.r,
         "m_min": report.m_min,

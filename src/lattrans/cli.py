@@ -16,7 +16,7 @@ A lattice argument is one of
     trailing centring letter (P, C, I or F); angles in degrees
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 budget
-exceeded, 4 unresolved tie (only with --strict).
+exceeded.
 """
 
 from __future__ import annotations
@@ -164,7 +164,6 @@ def report_document(report: OptimalityReport) -> dict:
         "m_min": report.m_min,
         "m_second": report.m_second,
         "gap": report.gap,
-        "tie_unresolved": report.tie_unresolved,
         "minimizer_count": len(report.minimizers),
         "minimizers": [
             {"mu": m.mu, "h": m.h} for m in report.minimizers
@@ -198,8 +197,6 @@ def report_human(report: OptimalityReport) -> str:
         out.append(
             f"first excited level = {report.m_second:.9f}  (gap = {report.gap:.9f})"
         )
-    if report.tie_unresolved:
-        out.append("WARNING: ground and excited levels tie within tolerance")
     out.append(
         f"{len(report.minimizers)} optimal correspondence(s) in "
         f"{len(report.classes)} equivalence class(es)"
@@ -236,8 +233,6 @@ def cmd_solve(args) -> int:
         _emit(dumps_structured(report_document(report)), args.out)
     else:
         _emit(report_human(report), args.out)
-    if report.tie_unresolved and args.strict:
-        return 4
     return 0
 
 
@@ -274,7 +269,7 @@ def cmd_region(args) -> int:
 
 def cmd_count_sl(args) -> int:
     start = time.perf_counter()
-    stats = count_slk(args.k, naive=args.naive, guard=args.guard)
+    stats = count_slk(args.k)
     elapsed = time.perf_counter() - start
     if args.format == "structured":
         _emit(
@@ -282,7 +277,6 @@ def cmd_count_sl(args) -> int:
                 {
                     "schema": "lattrans.count.v1",
                     "k": stats.k,
-                    "naive": bool(args.naive),
                     "count": stats.count,
                     "candidates_examined": stats.candidates_examined,
                     "elapsed_seconds": elapsed,
@@ -309,23 +303,23 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("human", "structured"), default="human")
         p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--guard", type=int, default=DEFAULT_GUARD, help=argparse.SUPPRESS)
 
     p_solve = sub.add_parser("solve", help="solve for the optimal transformations")
-    # a comma-joined basis may start with a minus sign ("-1,0,0,0,-1,0,0,0,1"):
-    # argparse takes it for a positional, as it does a negative number
+    # a comma-joined basis may start with a minus sign ("-1,0,0,0,-1,0,0,0,1"),
+    # and an exponent may be written with one ("--r -2e0"): argparse takes
+    # each for a value, as it does a negative number
     p_solve._negative_number_matcher = re.compile(
-        p_solve._negative_number_matcher.pattern + r"|^-[^-].*,")
+        p_solve._negative_number_matcher.pattern + r"|^-[^-].*,"
+        + r"|^-(\d+\.?\d*|\.\d+)[eE][-+]?\d+$")
     p_solve.add_argument("parent", help="parent lattice")
     p_solve.add_argument("product", help="product lattice")
     p_solve.add_argument("--r", type=float, default=1.0,
                          help="strain metric exponent (default 1)")
     p_solve.add_argument("--k", type=int, default=None,
                          help="force the search radius (overrides the certified bound)")
-    p_solve.add_argument("--strict", action="store_true",
-                         help="exit 4 when ground and excited levels tie")
     p_solve.add_argument("--fix-handedness", action="store_true",
                          help="relabel left-handed bases instead of refusing them")
+    p_solve.add_argument("--guard", type=int, default=DEFAULT_GUARD, help=argparse.SUPPRESS)
     common(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
@@ -346,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count-sl", help="count bounded unimodular matrices")
     p_count.add_argument("--k", type=int, required=True)
-    p_count.add_argument("--naive", action="store_true",
-                         help="use the brute-force oracle (k <= 2)")
     common(p_count)
     p_count.set_defaults(func=cmd_count_sl)
     return parser

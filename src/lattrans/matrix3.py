@@ -98,10 +98,8 @@ def inverse(m) -> np.ndarray:
     tolerance.
     """
     a = as_matrix3(m)
-    d = det(a)
-    if abs(d) <= DET_REL_TOL * frobenius(a) ** 3:
-        raise SingularMatrix("matrix is singular to working precision")
-    return adjugate(a) / d
+    _require_invertible(a)
+    return adjugate(a) / det(a)
 
 
 def _eigh(s: np.ndarray):

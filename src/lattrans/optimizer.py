@@ -50,7 +50,7 @@ from .errors import BudgetExceeded, NotRightHanded, SingularMatrix
 from .matrix3 import (adjugate, as_matrix3, det, frobenius, inverse, is_singular,
                       singular_values, spd_power)
 from .metrics import StrainMetric, distance_to_identity, distance_to_identity_many, tie_tolerance
-from .unimodular import DEFAULT_GUARD, _box_triples, _require_unimodular
+from .unimodular import DEFAULT_GUARD, _box_triples, _check_k, _require_unimodular
 
 #: Two transformations share an equivalence class when their Cauchy-Green
 #: tensors agree to this relative tolerance (looser than the distance tie
@@ -113,8 +113,10 @@ class StretchClass:
 class OptimalityReport:
     """Result of one search.
 
-    ``m_second`` is the smallest distance strictly above the tie band of
-    ``m_min`` over the searched box, or None when no candidate lies there.
+    Every candidate within ``tie_tolerance(m_min)`` of ``m_min`` is a
+    minimizer.  ``m_second`` is the smallest distance strictly above that
+    band over the searched box, or None when no candidate lies there, so
+    ``gap`` = ``m_second - m_min`` > ``tie_tolerance(m_min)`` always holds.
     ``candidates`` counts the determinant-one shell triples evaluated,
     each once, over all threshold passes.
     When the search ran on reduced bases, ``bound`` and ``k_used``
@@ -133,7 +135,6 @@ class OptimalityReport:
     m_min: float
     m_second: float | None
     gap: float | None
-    tie_unresolved: bool
     candidates: int = 0
 
 
@@ -401,11 +402,7 @@ def solve(f, g, metric: StrainMetric, *, k: int | None = None,
         back = (v, adjugate(u))
     k_used = bound.k if k is None else int(k)
     certified = k_used >= bound.k
-
-    if k_used < 1:
-        raise ValueError(f"k must be a positive integer, got {k_used}")
-    if k_used > guard:
-        raise BudgetExceeded(f"search radius k={k_used} exceeds the practical guard {guard}")
+    _check_k(k_used, guard)
     a, b = (fs, gs) if metric.r > 0 else (gs, fs)
     fold = _shell_search(a, b, StrainMetric(abs(metric.r)), k_used)
     if fold.count == 0:
@@ -420,12 +417,11 @@ def solve(f, g, metric: StrainMetric, *, k: int | None = None,
     m_min = fold.m_min
     m_second = None if math.isinf(fold.m_second) else fold.m_second
     gap = None if m_second is None else m_second - m_min
-    tie_unresolved = gap is not None and gap <= tie_tolerance(m_min)
 
     return OptimalityReport(
         parent=f, product=g, metric=metric, bound=bound, k_used=k_used, certified=certified,
         minimizers=minimizers, classes=classes, m_min=m_min, m_second=m_second, gap=gap,
-        tie_unresolved=tie_unresolved, candidates=fold.count)
+        candidates=fold.count)
 
 
 def group_classes(transformations) -> list[StretchClass]:

@@ -36,14 +36,11 @@ import numpy as np
 from .errors import BudgetExceeded
 from .matrix3 import adjugate, det
 
-#: Default practical enumeration guard; overridable per call.
+#: Largest radius enumerated or searched, unless ``solve`` is given a guard.
 DEFAULT_GUARD = 8
 
 #: Largest radius kept in the in-process materialisation cache.
 MATERIALIZE_MAX_K = 3
-
-#: The brute-force oracle sweeps (2k+1)^9 tuples; only useful for tiny k.
-NAIVE_MAX_K = 2
 
 
 @dataclass(frozen=True)
@@ -138,9 +135,9 @@ def _first_row_orbits(k: int) -> Iterator[tuple]:
         yield np.array(row, dtype=np.int64), permutations * 2 ** sum(v > 0 for v in row)
 
 
-def iter_slk_blocks(k: int, guard: int = DEFAULT_GUARD) -> Iterator[np.ndarray]:
+def iter_slk_blocks(k: int) -> Iterator[np.ndarray]:
     """Stream SL^k as (n, 3, 3) blocks, one per first row, in lex order."""
-    _check_k(k, guard)
+    _check_k(k, DEFAULT_GUARD)
     for r1 in _box_triples(k):
         block, _ = _row_block(r1, k)
         if block.shape[0]:
@@ -162,7 +159,8 @@ def materialize_slk(k: int) -> np.ndarray:
 
 
 def _naive_array(k: int) -> np.ndarray:
-    """Brute-force SL^k, lex order: filter det over the full entry box."""
+    """Brute-force SL^k, lex order: filter det over the full entry box of
+    (2k+1)^9 tuples; the tests' oracle, for k <= 2 only."""
     rng = np.arange(-k, k + 1, dtype=np.int64)
     tail = np.meshgrid(*([rng] * 8), indexing="ij")
     tail = np.stack(tail, axis=-1).reshape(-1, 8)
@@ -196,13 +194,9 @@ def integer_inverse(mu) -> np.ndarray:
     return adjugate(_require_unimodular(mu))
 
 
-def count_slk(k: int, naive: bool = False, guard: int = DEFAULT_GUARD) -> EnumerationStats:
+def count_slk(k: int) -> EnumerationStats:
     """Count SL^k, reporting how many candidates the search examined."""
-    if naive:
-        _check_k(k, min(guard, NAIVE_MAX_K))
-        n = 2 * k + 1
-        return EnumerationStats(k=k, count=_naive_array(k).shape[0], candidates_examined=n**9)
-    _check_k(k, guard)
+    _check_k(k, DEFAULT_GUARD)
     count = 0
     examined = 0
     for r1, size in _first_row_orbits(k):

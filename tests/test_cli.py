@@ -157,21 +157,10 @@ def test_comma_joined_basis_with_leading_minus_is_a_lattice(argv, capsys):
 def test_solve_budget_exit_code(capsys):
     code, _, err = run(["solve", "fcc", "bcc", "--k", "9"], capsys)
     assert code == 3
-
-
-def test_strict_tie_exit_code(monkeypatch, capsys):
-    real_solve = cli.solve
-
-    def tied(*args, **kwargs):
-        report = real_solve(*args, **kwargs)
-        report.tie_unresolved = True
-        return report
-
-    monkeypatch.setattr(cli, "solve", tied)
-    code, _, _ = run(["solve", "fcc", "bcc", "--strict"], capsys)
-    assert code == 4
-    code, _, _ = run(["solve", "fcc", "bcc"], capsys)
-    assert code == 0
+    # a negative exponent in exponent notation is a value, not an option
+    code, out, err = run(["solve", "fcc", "bcc", "--r", "-1e5"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_verify_commands(capsys):
@@ -246,14 +235,13 @@ def test_count_sl_human(capsys):
 
 
 def test_count_sl_naive_agrees(capsys):
+    from lattrans.unimodular import _naive_array
+
     code, out_fast, _ = run(["count-sl", "--k", "2", "--format", "structured"], capsys)
-    code2, out_naive, _ = run(
-        ["count-sl", "--k", "2", "--naive", "--format", "structured"], capsys
-    )
-    assert code == code2 == 0
+    assert code == 0
     import json
 
-    assert json.loads(out_fast)["count"] == json.loads(out_naive)["count"] == 67704
+    assert json.loads(out_fast)["count"] == _naive_array(2).shape[0] == 67704
 
 
 def test_count_sl_budget(capsys):
@@ -262,17 +250,21 @@ def test_count_sl_budget(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["count-sl", "--k", "1"], ["solve", "fcc", "bcc"], ["verify", "bain-d1"]],
-    ids=["count-sl", "solve", "verify"],
+    "argv, option",
+    [(["count-sl", "--k", "1"], ["--threads", "2"]), (["solve", "fcc", "bcc"], ["--threads", "2"]),
+     (["verify", "bain-d1"], ["--threads", "2"]), (["solve", "fcc", "bcc"], ["--strict"]),
+     (["count-sl", "--k", "1"], ["--naive"]), (["count-sl", "--k", "1"], ["--guard", "1"])],
+    ids=["count-sl", "solve", "verify", "solve-strict", "count-sl-naive", "count-sl-guard"],
 )
-def test_threads_option_rejected(argv, capsys):
-    # the search runs on the calling thread; no command takes a thread
-    # option
+def test_threads_option_rejected(argv, option, capsys):
+    # the search runs on the calling thread, so no command takes a thread
+    # option; no search can report a tie, so solve takes no --strict; the
+    # brute-force oracle and the counting guard are fixed, so count-sl
+    # takes no --naive and no --guard
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv + ["--threads", "2"])
+        cli.main(argv + option)
     assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+    assert option[0] in capsys.readouterr().err
 
 
 def test_structured_output_is_valid_json(capsys):
@@ -313,6 +305,8 @@ def test_solve_fcc_bcc_negative_exponent_prints_the_closed_form(capsys):
     assert code == 0
     assert json.loads(out)["m_min"] == 0.655865033229
     assert '"m_min": 0.655865033229,' in out
+    argv = ["solve", "fcc", "bcc", "--r", "-2e0", "--format", "structured"]
+    assert run(argv, capsys) == (0, out, "")
 
 
 # Bad lattice tokens for the CLI fuzz below: each must exit 2 with one

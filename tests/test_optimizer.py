@@ -70,7 +70,8 @@ def test_solve_bain_d1():
     assert len(rep.minimizers) == 72
     assert sorted(len(c.members) for c in rep.classes) == [24, 24, 24]
     assert rep.m_min == pytest.approx(BAIN_D1, abs=1e-14)
-    assert rep.certified and not rep.tie_unresolved
+    assert rep.certified
+    assert rep.gap is None or rep.gap > tie_tolerance(rep.m_min)
 
 
 def test_solve_bain_without_hint_same_result():
@@ -513,6 +514,7 @@ def test_solve_does_not_depend_on_the_basis(cell, r, shears, sheared):
     anchor = _anchor(cell, r)
     rep = optimizer.solve(f @ u, g @ v, StrainMetric(r))
     assert rep.certified
+    assert rep.gap is None or rep.gap > tie_tolerance(rep.m_min)
     assert abs(rep.m_min - anchor.m_min) <= tie_tolerance(anchor.m_min)
     u_inv = adjugate(u)
     assert {tuple((v @ m.mu @ u_inv).ravel()) for m in rep.minimizers} == {

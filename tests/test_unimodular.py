@@ -55,18 +55,11 @@ def test_stream_is_strictly_lexicographic():
     assert as_tuples == sorted(as_tuples)
 
 
-def test_naive_guard():
-    with pytest.raises(BudgetExceeded):
-        unimodular.count_slk(3, naive=True)
-
-
 def test_radius_guard():
     with pytest.raises(BudgetExceeded):
         unimodular.count_slk(9)
     with pytest.raises(BudgetExceeded):
         list(unimodular.iter_slk_blocks(9))
-    # the guard is configurable
-    assert unimodular.count_slk(1, guard=1).count == 3480
 
 
 def test_bad_radius():
@@ -140,10 +133,8 @@ def test_materialize_cache_and_guard():
 
 
 def test_stats_fields():
-    stats = unimodular.count_slk(2, naive=True)
-    assert stats == unimodular.EnumerationStats(k=2, count=67704, candidates_examined=5**9)
     pruned = unimodular.count_slk(2)
-    assert pruned.count == 67704
+    assert (pruned.k, pruned.count) == (2, unimodular._naive_array(2).shape[0]) == (2, 67704)
     assert 0 < pruned.candidates_examined < 5**9
 
 
