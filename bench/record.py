@@ -10,12 +10,13 @@ a fresh interpreter that imports ``lattrans`` from the checkout's
 ``src/``.  The columns alternate within each round, and the order
 reverses on every other round (AB BA AB ...), so neither a slow spell of
 the machine nor the position in a round favours one column.  The
-interpreter runs the command twice.  A case records, per column, the
-median and the quartiles of ``call_s`` (the first call, after imports,
-as a shell user meets it: mostly first-call set-up), of ``warm_s`` (the
-second call in the same process, which shows the work of the command
-itself) and of ``process_s`` (the whole process, both calls), and every
-exit code.  Each
+interpreter runs the command ``CALLS`` times.  A case records, per
+column, the median and the quartiles of ``call_s`` (the first call,
+after imports, as a shell user meets it: mostly first-call set-up), of
+``warm_s`` (the median of the later calls in the same process, which
+shows the work of the command itself and is steadier than any one call)
+and of ``process_s`` (the whole process, all calls), and every exit
+code.  Each
 column also holds the tier-1 wall time (one run of the test suite in the
 checkout), the CPU count, and the Python and numpy versions.
 
@@ -40,6 +41,9 @@ from pathlib import Path
 
 ROUNDS = 5
 
+#: Calls of the command per process: the first, then the warm ones.
+CALLS = 5
+
 TEREPHTHALIC = ("7.730,6.443,3.749,92.75,109.15,95.95", "7.452,6.856,5.020,116.6,119.2,96.5")
 
 #: The primitive basis of the first Terephthalic cell times I + e1 e2^T,
@@ -59,22 +63,23 @@ CASES = {
     "count-sl --k 6": ["count-sl", "--k", "6"],
 }
 
-# Runs one CLI command twice with its output discarded and prints the
-# seconds each call took after imports, the exit code (the same for both
-# calls) and where lattrans was imported from.
+# Runs one CLI command argv[1] times with its output discarded and prints
+# the seconds the first call took after imports, the median of the later
+# calls, the exit code (the same for every call) and where lattrans was
+# imported from.
 _CHILD = """
-import contextlib, io, json, sys, time
+import contextlib, io, json, statistics, sys, time
 import lattrans
 from lattrans import cli
 seconds, codes = [], []
-for _ in range(2):
+for _ in range(int(sys.argv[1])):
     start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(cli.main(sys.argv[1:]))
+        codes.append(cli.main(sys.argv[2:]))
     seconds.append(time.perf_counter() - start)
-assert codes[0] == codes[1], codes
-print(json.dumps({"call_s": seconds[0], "warm_s": seconds[1], "exit": codes[0],
-                  "module": lattrans.__file__}))
+assert len(set(codes)) == 1, codes
+print(json.dumps({"call_s": seconds[0], "warm_s": statistics.median(seconds[1:]),
+                  "exit": codes[0], "module": lattrans.__file__}))
 """
 
 
@@ -88,7 +93,7 @@ def _environment(checkout: Path) -> dict:
 def run_once(checkout: Path, argv: list) -> tuple:
     """(call_s, warm_s, process_s, exit code) of one fresh-process run."""
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], cwd=checkout,
+    proc = subprocess.run([sys.executable, "-c", _CHILD, str(CALLS), *argv], cwd=checkout,
                           env=_environment(checkout), capture_output=True, text=True,
                           check=False)
     wall = time.perf_counter() - start

@@ -35,7 +35,6 @@ from .errors import (
 )
 from .lattice import (
     TriclinicParams,
-    cubic_point_group,
     primitive_from_centred,
     triclinic_to_primitive,
 )
@@ -44,6 +43,7 @@ from .metrics import StrainMetric, distance, distance_to_identity
 from .optimizer import (
     OptimalityReport,
     SearchBound,
+    cubic_point_group,
     group_classes,
     point_group_orbit,
     search_bound,
@@ -52,7 +52,6 @@ from .optimizer import (
 from .unimodular import (
     EnumerationStats,
     count_slk,
-    integer_inverse,
     materialize_slk,
 )
 

@@ -11,7 +11,8 @@ raising :class:`VerificationFailed` with one message per mismatch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -364,16 +365,13 @@ def bct_stability_flags(a_scale: float, c_scale: float) -> BctFlags:
     return _cell_flags([float(a_scale)], [float(c_scale)])[0]
 
 
-REGION_COLUMNS = (
-    "A",
-    "C",
-    "flag_d1_sl1",
-    "flag_d1_outside",
-    "flag_d2_sl1",
-    "flag_d2_outside",
-    "flag_extended_d1",
-    "flag_extended_d2",
-)
+#: The certificate flags of :class:`BctFlags`: its fields after the cell
+#: (a_scale, c_scale) and its hypothesis, in order.
+_FLAG_NAMES = tuple(f.name for f in fields(BctFlags)[3:])
+_flag_values = operator.attrgetter(*_FLAG_NAMES)
+_NO_FLAGS = (0,) * len(_FLAG_NAMES)
+
+REGION_COLUMNS = ("A", "C", *(f"flag_{name}" for name in _FLAG_NAMES))
 
 
 @dataclass
@@ -390,16 +388,8 @@ class RegionScanResult:
 
     def to_rows(self):
         for cell in self.flags:
-            yield (
-                cell.a_scale,
-                cell.c_scale,
-                int(cell.hypothesis_ok and cell.d1_sl1),
-                int(cell.hypothesis_ok and cell.d1_outside),
-                int(cell.hypothesis_ok and cell.d2_sl1),
-                int(cell.hypothesis_ok and cell.d2_outside),
-                int(cell.hypothesis_ok and cell.extended_d1),
-                int(cell.hypothesis_ok and cell.extended_d2),
-            )
+            flags = tuple(map(int, _flag_values(cell))) if cell.hypothesis_ok else _NO_FLAGS
+            yield (cell.a_scale, cell.c_scale, *flags)
 
     def table(self) -> str:
         lines = [",".join(REGION_COLUMNS)]
@@ -416,15 +406,17 @@ class RegionScanResult:
 
 
 def _grid(name: str, lo: float, hi: float, step: float) -> np.ndarray:
-    """The points lo, lo + step, ... up to hi, rounded to 12 decimals;
-    ValueError unless 0 < lo <= hi < inf and the count is finite."""
+    """The points lo, lo + step, ... up to hi, rounded to 12 decimals; a
+    last step that reaches hi only within a relative 1e-9 counts, so that
+    the rounding of (hi - lo) / step loses no point.  ValueError unless
+    0 < lo <= hi < inf and the count is finite."""
     if not 0.0 < lo <= hi < math.inf:
         raise ValueError(f"the {name} range must be finite and positive with min <= max, "
                          f"got ({lo!r}, {hi!r})")
-    n = (hi - lo) / step
+    n = (hi - lo) / step * (1.0 + 1e-9)
     if not math.isfinite(n):
         raise ValueError(f"the {name} range ({lo!r}, {hi!r}) holds too many steps of {step!r}")
-    return np.round(lo + step * np.arange(int(round(n)) + 1), 12)
+    return np.round(lo + step * np.arange(math.floor(n) + 1), 12)
 
 
 def bct_region_scan(a_range: tuple = (0.7, 1.8), c_range: tuple = (0.7, 1.8),

@@ -306,11 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve for the optimal transformations")
     # a comma-joined basis may start with a minus sign ("-1,0,0,0,-1,0,0,0,1"),
-    # and an exponent may be written with one ("--r -2e0"): argparse takes
-    # each for a value, as it does a negative number
+    # and an exponent may be written with one ("--r -2e0", "--r -inf"):
+    # argparse takes each for a value, as it does a negative number
     p_solve._negative_number_matcher = re.compile(
         p_solve._negative_number_matcher.pattern + r"|^-[^-].*,"
-        + r"|^-(\d+\.?\d*|\.\d+)[eE][-+]?\d+$")
+        + r"|^-(\d+\.?\d*|\.\d+)[eE][-+]?\d+$|^-(?i:inf|infinity|nan)$")
     p_solve.add_argument("parent", help="parent lattice")
     p_solve.add_argument("product", help="product lattice")
     p_solve.add_argument("--r", type=float, default=1.0,
@@ -350,7 +350,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except BudgetExceeded as exc:

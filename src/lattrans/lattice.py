@@ -2,15 +2,14 @@
 
 Bases (columns are lattice vectors, in length units such as angstroms;
 the atom density of a primitive basis B is 1 / det(B)), conventional-cell
-centrings and their primitive equivalents, conversion from triclinic cell
-parameters, and the 24-element rotation group of the cube.
+centrings and their primitive equivalents, and conversion from triclinic
+cell parameters.  The rotation groups of lattices, the cube's among them,
+are found by the search itself (see ``optimizer``).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import cos, radians, sin, sqrt
 
 import numpy as np
@@ -93,25 +92,3 @@ def triclinic_to_primitive(p: TriclinicParams) -> np.ndarray:
             [0.0, 0.0, p.c * sqrt(arg)],
         ]
     )
-
-
-@lru_cache(maxsize=1)
-def cubic_point_group() -> np.ndarray:
-    """The 24 rotation matrices mapping a cube to itself.
-
-    These are exactly the signed permutation matrices with determinant +1,
-    i.e. the orthogonal unimodular integer matrices.  Returned as a
-    read-only (24, 3, 3) int64 array in lexicographic order.
-    """
-    mats = []
-    for perm in itertools.permutations(range(3)):
-        for signs in itertools.product((1, -1), repeat=3):
-            m = np.zeros((3, 3), dtype=np.int64)
-            for j in range(3):
-                m[perm[j], j] = signs[j]
-            if det(m) == 1:
-                mats.append(m)
-    mats.sort(key=lambda m: tuple(m.ravel()))
-    group = np.stack(mats)
-    group.setflags(write=False)
-    return group

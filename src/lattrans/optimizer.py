@@ -356,7 +356,7 @@ def _reduce(f, g, metric: StrainMetric, bound: SearchBound, hints=None):
     if bound.k <= _REDUCE_ABOVE_K:
         return None
     fr, u = _lll(f)
-    gr, v = (fr, u) if g is f else _lll(g)  # a point group reduces one basis
+    gr, v = _lll(g)
     if hints is not None:
         hints = [adjugate(v) @ _require_unimodular(mu) @ u for mu in hints]
     reduced = search_bound(fr, gr, metric, hints)
@@ -457,7 +457,8 @@ class OrbitResult(NamedTuple):
 
 def _point_group(f: np.ndarray) -> np.ndarray:
     """The rotations of L(F) as integer matrices U with F U F^-1 a rotation,
-    as a read-only array cached per basis (keyed on its float64 bytes).
+    as a read-only array in lexicographic order, cached per basis (keyed
+    on its float64 bytes).
 
     They are the distance-zero solutions of the problem F -> F, so the
     radius certified for it (m0 = 0) holds them all, and their columns
@@ -477,15 +478,25 @@ def _basis_point_group(key: bytes) -> np.ndarray:
     reduced = _reduce(f, f, metric, bound)
     if reduced is not None:
         f, _, u, _, bound = reduced
-    if bound.k > DEFAULT_GUARD:
-        raise BudgetExceeded(f"the lattice's own search radius k={bound.k} exceeds the guard")
+    _check_k(bound.k, DEFAULT_GUARD)
     box = _box_triples(bound.k)
     shells = [box[m] for m in _column_bounds(f, f, 1.0, box) <= _SLACK]
     group = _fold_triples([shells], inverse(f), f, metric, _Fold()).mus
     if u is not None:
         group = u @ group @ adjugate(u)
+    group = group[_lex_unique(group)]
     group.setflags(write=False)
     return group
+
+
+def cubic_point_group() -> np.ndarray:
+    """The 24 rotation matrices mapping a cube to itself, found as the
+    point group of the simple cubic basis I: the signed permutation
+    matrices with determinant +1, i.e. the orthogonal unimodular integer
+    matrices.  Returned as a read-only (24, 3, 3) int64 array in
+    lexicographic order.
+    """
+    return _point_group(np.eye(3))
 
 
 def point_group_orbit(mu0, f, g) -> OrbitResult:

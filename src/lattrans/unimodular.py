@@ -34,7 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceeded
-from .matrix3 import adjugate, det
+from .matrix3 import det
 
 #: Largest radius enumerated or searched, unless ``solve`` is given a guard.
 DEFAULT_GUARD = 8
@@ -187,11 +187,6 @@ def _require_unimodular(mu) -> np.ndarray:
     if d != 1:
         raise ValueError(f"matrix {m.tolist()} must have determinant +1, got {int(d)}")
     return m
-
-
-def integer_inverse(mu) -> np.ndarray:
-    """Exact integer inverse (adjugate) of a determinant-one matrix."""
-    return adjugate(_require_unimodular(mu))
 
 
 def count_slk(k: int) -> EnumerationStats:

@@ -167,7 +167,7 @@ def test_criterion_4_terephthalic(terephthalic_reports):
 
 def test_criterion_5_point_group():
     def body():
-        group = lattice.cubic_point_group()
+        group = optimizer.cubic_point_group()
         assert group.shape[0] == 24
         members = {tuple(g.ravel()) for g in group}
         orthogonal = set()

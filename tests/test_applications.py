@@ -313,6 +313,16 @@ def test_refined_region_table_bytes_are_pinned():
     )
 
 
+@pytest.mark.parametrize("lo, hi, step, count", [
+    (0.7, 1.8, 0.005, 221), (0.8, 0.81, 0.006, 2), (0.7, 0.7049, 0.005, 1),
+    (1.0, 1.08, 0.005, 17), (0.9, 0.9, 0.05, 1),
+])
+def test_region_grid_stops_at_its_maximum(lo, hi, step, count):
+    points = app._grid("A", lo, hi, step)
+    assert len(points) == count
+    assert points[0] == lo and points[-1] <= hi < points[-1] + step
+
+
 def test_region_table_roundtrip():
     result = app.bct_region_scan(a_range=(0.9, 1.1), c_range=(0.9, 1.1), step=0.1)
     lines = result.table().strip().splitlines()

@@ -161,6 +161,11 @@ def test_solve_budget_exit_code(capsys):
     code, out, err = run(["solve", "fcc", "bcc", "--r", "-1e5"], capsys)
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    for r in ("-inf", "-Infinity", "-INF", "-nan", "-NaN"):
+        code, out, err = run(["solve", "fcc", "bcc", "--r", r], capsys)
+        assert (code, out) == (2, ""), r
+        assert err.startswith("error: ") and "nonzero finite real" in err, err
+        assert err.count("\n") == 1, err
 
 
 def test_verify_commands(capsys):
@@ -226,6 +231,19 @@ def test_solve_out_file(tmp_path, capsys):
 
     doc = json.loads(path.read_text())
     assert doc["minimizer_count"] == 72
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "fcc", "bcc", "--k", "1"],
+    ["region", "--a-min", "1", "--a-max", "1", "--c-min", "1", "--c-max", "1"],
+    ["count-sl", "--k", "1"],
+])
+def test_unwritable_out_is_an_input_error(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run([*argv, "--out", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(path) in err and not path.exists()
 
 
 def test_count_sl_human(capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattrans import lattice, unimodular
+from lattrans import lattice, optimizer, unimodular
 from lattrans.errors import InfeasibleAngles, NotRightHanded
 from lattrans.matrix3 import det, inverse
 
@@ -120,7 +120,7 @@ def test_atom_density_scaling():
 
 
 def test_point_group_basics():
-    group = lattice.cubic_point_group()
+    group = optimizer.cubic_point_group()
     assert group.shape == (24, 3, 3)
     assert any(np.array_equal(g, np.eye(3, dtype=np.int64)) for g in group)
     assert set(np.unique(group)) <= {-1, 0, 1}
@@ -130,7 +130,7 @@ def test_point_group_basics():
 
 
 def test_point_group_closure():
-    group = lattice.cubic_point_group()
+    group = optimizer.cubic_point_group()
     members = {tuple(g.ravel()) for g in group}
     for a in group:
         assert tuple(a.T.ravel()) in members
@@ -139,7 +139,7 @@ def test_point_group_closure():
 
 
 def test_point_group_equals_orthogonal_unimodulars():
-    members = {tuple(g.ravel()) for g in lattice.cubic_point_group()}
+    members = {tuple(g.ravel()) for g in optimizer.cubic_point_group()}
     orthogonal = {
         tuple(mu.ravel())
         for mu in unimodular.materialize_slk(1)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lattrans import matrix3
 from lattrans.errors import NotPositiveDefinite, SingularMatrix
-from lattrans.lattice import cubic_point_group
+from lattrans.optimizer import cubic_point_group
 
 from conftest import FCC, TERE_F1, TERE_F2, TERE_MU, TERE_STRETCH, random_invertible, random_rotation
 

@@ -154,11 +154,9 @@ def test_reported_transformations_map_lattice_points():
 
 
 def test_point_group_conjugation_leaves_report_invariant():
-    from lattrans.lattice import cubic_point_group
-
     finv = inverse(FCC)
     base = optimizer.solve(FCC, BCC, D1, hint_mus=[BAIN_MU0])
-    for q in cubic_point_group()[[3, 11, 17]]:
+    for q in optimizer.cubic_point_group()[[3, 11, 17]]:
         conj = finv @ q.astype(float) @ FCC
         assert np.allclose(conj, np.rint(conj), atol=1e-12)
         rep = optimizer.solve(FCC @ conj, BCC, D1)
@@ -359,11 +357,9 @@ def test_group_classes_rotated_copies_collapse():
 
 
 def test_orbit_of_identity_is_point_group():
-    from lattrans.lattice import cubic_point_group
-
     orbit = optimizer.point_group_orbit(np.eye(3, dtype=np.int64), np.eye(3), np.eye(3))
     assert len(orbit.mus) == 24
-    assert all(np.array_equal(a, b) for a, b in zip(orbit.mus, cubic_point_group()))
+    assert all(np.array_equal(a, b) for a, b in zip(orbit.mus, optimizer.cubic_point_group()))
 
 
 def test_orbit_reproduces_bain_minimizers():
@@ -408,6 +404,13 @@ def test_point_group_is_cached_per_basis():
     second = optimizer.point_group_orbit(BAIN_MU0, FCC, BCC)
     assert len(second.mus) == 72
     assert all(np.array_equal(a, b) for a, b in zip(first.mus, second.mus))
+
+
+def test_point_group_radius_past_the_guard_is_refused():
+    # diag(1, 1, 100) is LLL-reduced already: its own radius is 99 either way
+    f = np.diag([1.0, 1.0, 100.0])
+    with pytest.raises(BudgetExceeded, match="k=99 exceeds"):
+        optimizer.point_group_orbit(I3, f, f)
 
 
 @pytest.mark.parametrize("f", [FCC, HEX])

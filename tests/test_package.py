@@ -11,12 +11,12 @@ PUBLIC_NAMES = {
     "terephthalic_case", "verify_bain",
     "BudgetExceeded", "InfeasibleAngles", "LatTransError", "NotPositiveDefinite",
     "NotRightHanded", "SingularMatrix", "VerificationFailed",
-    "TriclinicParams", "cubic_point_group", "primitive_from_centred", "triclinic_to_primitive",
+    "TriclinicParams", "primitive_from_centred", "triclinic_to_primitive",
     "det", "inverse", "singular_values", "spd_power",
     "StrainMetric", "distance", "distance_to_identity",
-    "OptimalityReport", "SearchBound", "group_classes", "point_group_orbit",
-    "search_bound", "solve",
-    "EnumerationStats", "count_slk", "integer_inverse", "materialize_slk",
+    "OptimalityReport", "SearchBound", "cubic_point_group", "group_classes",
+    "point_group_orbit", "search_bound", "solve",
+    "EnumerationStats", "count_slk", "materialize_slk",
 }
 
 
