@@ -5,11 +5,13 @@
 
 Each ``--checkout NAME=PATH`` becomes one column; at least two are
 required, so every BENCH file compares its columns within one run.  Each
-case is one ``lattrans`` CLI command, run ``ROUNDS`` times per column in
+case is one ``lattrans`` CLI command, run once per column and round in
 a fresh interpreter that imports ``lattrans`` from the checkout's
-``src/``.  The columns alternate within each round, and the order
-reverses on every other round (AB BA AB ...), so neither a slow spell of
-the machine nor the position in a round favours one column.  The
+``src/``.  Each of the ``ROUNDS`` rounds runs every case in turn, so a
+slow spell of the machine lands on all cases alike rather than on one.
+The columns alternate within each case, and the order reverses on every
+other round (AB BA AB ...), so neither a slow spell nor the position in
+a round favours one column.  The
 interpreter runs the command ``CALLS`` times.  A case records, per
 column, the median and the quartiles of ``call_s`` (the first call,
 after imports, as a shell user meets it: mostly first-call set-up), of
@@ -126,7 +128,8 @@ def run_tier1(checkout: Path) -> dict:
 
 
 def record(checkouts: dict) -> dict:
-    """One column per checkout; every case runs its columns alternately."""
+    """One column per checkout; every round runs each case, its columns
+    alternately."""
     import numpy
 
     columns = {}
@@ -142,13 +145,15 @@ def record(checkouts: dict) -> dict:
             "cases": {},
         }
     order = list(checkouts.items())
-    for case, argv in CASES.items():
-        runs = {name: [] for name in checkouts}
-        for i in range(ROUNDS):
+    runs = {case: {name: [] for name in checkouts} for case in CASES}
+    for i in range(ROUNDS):
+        for case, argv in CASES.items():
             for name, checkout in order if i % 2 == 0 else order[::-1]:
-                runs[name].append(run_once(checkout, argv))
+                runs[case][name].append(run_once(checkout, argv))
+        print(f"round {i + 1}/{ROUNDS} done", file=sys.stderr)
+    for case in CASES:
         for name in checkouts:
-            columns[name]["cases"][case] = summarise(runs[name])
+            columns[name]["cases"][case] = summarise(runs[case][name])
         print(case + ": " + ", ".join(f"{name} {columns[name]['cases'][case]['call_s']:.4f} s "
                                       f"(warm {columns[name]['cases'][case]['warm_s']:.4f} s)"
                                       for name in checkouts), file=sys.stderr)

@@ -50,7 +50,7 @@ from .errors import BudgetExceeded, NotRightHanded, SingularMatrix
 from .matrix3 import (adjugate, as_matrix3, det, frobenius, inverse, is_singular,
                       singular_values, spd_power)
 from .metrics import StrainMetric, distance_to_identity, distance_to_identity_many, tie_tolerance
-from .unimodular import DEFAULT_GUARD, _box_triples, _check_k, _require_unimodular
+from .unimodular import DEFAULT_GUARD, _box_triples, _check_k, _det1_blocks, _require_unimodular
 
 #: Two transformations share an equivalence class when their Cauchy-Green
 #: tensors agree to this relative tolerance (looser than the distance tie
@@ -66,15 +66,8 @@ _SLACK = 1e-9
 #: bases first and keep the reduced problem when its radius is smaller.
 _REDUCE_ABOVE_K = 3
 
-#: Triple products formed per block of the shell search (16 MB of floats).
-_BLOCK = 1 << 21
-
 #: Determinant-one matrices evaluated per batch (4.5 MB of transformations).
 _ROWS = 1 << 16
-
-#: Coordinate rolls that form the cross product c1 x c2 entrywise.
-_ROLL1, _ROLL2 = [1, 2, 0], [2, 0, 1]
-
 
 @dataclass(frozen=True)
 class SearchBound:
@@ -236,27 +229,6 @@ def _column_bounds(a: np.ndarray, b: np.ndarray, s: float, box: np.ndarray) -> n
         return np.abs((images[None, :] / lengths[:, None]) ** s - 1.0)
 
 
-def _det1_blocks(shells):
-    """Yield, block by block, the determinant-one matrices whose column j
-    lies in ``shells[j]`` (int64, (n, 3, 3)).
-
-    The triple product c3 . (c1 x c2) is formed in floats, exact for
-    entries this small, in blocks of the first column so that no block
-    holds more than about ``_BLOCK`` products.
-    """
-    c1, c2, c3 = (s.astype(float) for s in shells)
-    n2 = c2.shape[0]
-    step = max(1, _BLOCK // max(1, n2 * c3.shape[0]))
-    for lo in range(0, c1.shape[0], step):
-        a = c1[lo : lo + step, None, :]
-        cross = (a[..., _ROLL1] * c2[None, :, _ROLL2] - a[..., _ROLL2] * c2[None, :, _ROLL1])
-        pair, third = np.nonzero(cross.reshape(-1, 3) @ c3.T == 1.0)
-        if pair.size:
-            yield np.stack(
-                [shells[0][lo + pair // n2], shells[1][pair % n2], shells[2][third]], axis=-1
-            )
-
-
 def _evaluate(mus: np.ndarray, finv, g, metric: StrainMetric) -> _Fold:
     """Fold of the matrices ``mus``; merging it keeps only the tie band."""
     d = distance_to_identity_many((g @ mus.astype(float)) @ finv, metric)
@@ -400,9 +372,8 @@ def solve(f, g, metric: StrainMetric, *, k: int | None = None,
     if reduced is not None:
         fs, gs, u, v, bound = reduced
         back = (v, adjugate(u))
-    k_used = bound.k if k is None else int(k)
+    k_used = _check_k(bound.k if k is None else k, guard)
     certified = k_used >= bound.k
-    _check_k(k_used, guard)
     a, b = (fs, gs) if metric.r > 0 else (gs, fs)
     fold = _shell_search(a, b, StrainMetric(abs(metric.r)), k_used)
     if fold.count == 0:

@@ -3,25 +3,25 @@
 SL^k denotes the 3x3 integer matrices with determinant +1 and all entries
 in [-k, k]; SL^-k those whose inverses have entries in [-k, k].
 
-The pruned enumerator fixes the first two rows r1, r2 (each swept over
-the (2k+1)^3 box in lexicographic order) and solves the determinant
-constraint for the third row: with c = r1 x r2 the determinant is the
-linear form r3 . c, so the solutions for r3 lie on an affine plane.  That
-plane is swept with two free coordinates while the third is obtained by
-an exact integer division, reducing the naive (2k+1)^9 scan to roughly
-(2k+1)^6 work.  All arithmetic is int64; entry magnitudes up to the
-practical guard keep intermediate products far from overflow.
-
-Matrices are emitted in lexicographic order on the row-major entries,
-independent of chunking, so folds over the stream are reproducible.
+One kernel finds every determinant-one matrix: the determinant of the
+matrix with columns a, b, c is the triple product c . (a x b), so it forms
+a x b for each pair (a, b) of two vector sets, in lexicographic order,
+and tests every c of a third set with one matrix product per block of
+pairs: (2k+1)^6 products over the box instead of the naive (2k+1)^9
+tuples.  ``solve`` feeds it the column shells of its search.  SL^k is the
+case where every set is the whole (2k+1)^3 box; since SL^k is closed
+under transposition, the triples are read as rows, so the matrices come
+out in lexicographic order on the row-major entries, independent of the
+block size, and folds over the stream are reproducible.
 
 Counting needs one first row per orbit of the signed column
 permutations.  For such a permutation P the map mu -> diag(1, 1, det P)
 mu P keeps det = +1 and every entry in [-k, k], and it takes the
-completions of the first row r1 one-to-one onto those of r1 P.  Every
-row of an orbit therefore has as many completions as the orbit's
+completions (r2, r3) of the first row r1 one-to-one onto those of r1 P.
+Every row of an orbit therefore has as many completions as the orbit's
 representative 0 <= a <= b <= c <= k (20 rows instead of 343 at k = 3),
-and the count weighs each representative by its orbit size.
+and the count weighs each representative by its orbit size; its
+completions are the unit triple products r3 . (r1 x r2) over the box.
 """
 
 from __future__ import annotations
@@ -45,19 +45,22 @@ MATERIALIZE_MAX_K = 3
 
 @dataclass(frozen=True)
 class EnumerationStats:
-    """Result of a counting run; ``candidates_examined`` counts the
-    candidates of the first rows actually swept."""
+    """Result of a counting run; ``candidates_examined`` counts the triple
+    products formed: (2k+1)^6 for each first-row orbit."""
 
     k: int
     count: int
     candidates_examined: int
 
 
-def _check_k(k: int, guard: int) -> None:
-    if not isinstance(k, (int, np.integer)) or k < 1:
+def _check_k(k, guard: int) -> int:
+    """``k`` as an int; ValueError unless it is a positive integer (a bool
+    is not), BudgetExceeded above ``guard``."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if k > guard:
         raise BudgetExceeded(f"k={k} exceeds the practical guard {guard}")
+    return int(k)
 
 
 @lru_cache(maxsize=8)
@@ -68,63 +71,38 @@ def _box_triples(k: int) -> np.ndarray:
     return np.stack(grid, axis=-1).reshape(-1, 3)
 
 
-@lru_cache(maxsize=8)
-def _box_pairs(k: int) -> np.ndarray:
-    rng = np.arange(-k, k + 1, dtype=np.int64)
-    g1, g2 = np.meshgrid(rng, rng, indexing="ij")
-    return np.stack([g1, g2], axis=-1).reshape(-1, 2)
+#: Triple products formed per block (512 kB of floats, a cache-sized block).
+_BLOCK = 1 << 16
 
 
-_FREE_COORDS = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
+def _unit_products(vectors):
+    """Yield, block by block, the pairs (a, b) of the first two sets of
+    ``vectors`` (three (n, 3) integer arrays) in lex order, as their
+    indices (i, j), with the mask c . (a x b) == 1 over the third set.
 
-
-def _completions(r1: np.ndarray, k: int):
-    """Every completion of first row r1 to a matrix in SL^k, unordered.
-
-    Returns (r2 as indices into the box, r3 rows, candidates_examined).
+    A block holds about ``_BLOCK`` products, formed in floats, which are
+    exact for entries this small.
     """
-    rows = _box_triples(k)
-    pairs = _box_pairs(k)
-    c = np.cross(r1[None, :], rows)
-    valid = np.nonzero((c != 0).any(axis=1))[0]
-    c = c[valid]
-    pivot = (c != 0).argmax(axis=1)
-
-    examined = 0
-    r2s, r3s = [], []
-    for j in (0, 1, 2):
-        sel = np.nonzero(pivot == j)[0]
-        u, v = _FREE_COORDS[j]
-        cj = c[sel, j][:, None]
-        num = (
-            1
-            - c[sel, u][:, None] * pairs[None, :, 0]
-            - c[sel, v][:, None] * pairs[None, :, 1]
-        )
-        examined += num.size
-        quot, rem = np.divmod(num, cj)
-        pi, gi = np.nonzero((rem == 0) & (np.abs(quot) <= k))
-        r3 = np.empty((pi.size, 3), dtype=np.int64)
-        r3[:, u] = pairs[gi, 0]
-        r3[:, v] = pairs[gi, 1]
-        r3[:, j] = quot[pi, gi]
-        r2s.append(valid[sel[pi]])
-        r3s.append(r3)
-    return np.concatenate(r2s), np.concatenate(r3s), examined
+    a, b = (v.astype(float) for v in vectors[:2])
+    cs = np.ascontiguousarray(vectors[2].T, dtype=float)
+    # a x b entrywise: (a_y b_z, a_z b_x, a_x b_y) - (a_z b_y, a_x b_z, a_y b_x)
+    a1, a2, b1, b2 = a[:, [1, 2, 0]], a[:, [2, 0, 1]], b[:, [2, 0, 1]], b[:, [1, 2, 0]]
+    i, j = np.divmod(np.arange(a.shape[0] * b.shape[0]), b.shape[0])
+    step = max(1, _BLOCK // max(1, cs.shape[1]))
+    for lo in range(0, i.size, step):
+        bi, bj = i[lo : lo + step], j[lo : lo + step]
+        yield bi, bj, (a1[bi] * b1[bj] - a2[bi] * b2[bj]) @ cs == 1.0
 
 
-def _row_block(r1: np.ndarray, k: int):
-    """All matrices in SL^k with first row r1, in (r2, r3) lex order.
-
-    Returns (matrices, candidates_examined).
+def _det1_blocks(columns):
+    """Yield, block by block in lex order of the columns, the
+    determinant-one matrices whose column j lies in ``columns[j]``
+    (int64, (n, 3, 3)); det [a b c] is the triple product c . (a x b).
     """
-    r2, r3, examined = _completions(r1, k)
-    order = np.lexsort((r3[:, 2], r3[:, 1], r3[:, 0], r2))
-    mats = np.empty((order.size, 3, 3), dtype=np.int64)
-    mats[:, 0, :] = r1
-    mats[:, 1, :] = _box_triples(k)[r2[order]]
-    mats[:, 2, :] = r3[order]
-    return mats, examined
+    for i, j, mask in _unit_products(columns):
+        pair, third = np.nonzero(mask)
+        if pair.size:
+            yield np.stack([columns[0][i[pair]], columns[1][j[pair]], columns[2][third]], axis=-1)
 
 
 def _first_row_orbits(k: int) -> Iterator[tuple]:
@@ -136,22 +114,21 @@ def _first_row_orbits(k: int) -> Iterator[tuple]:
 
 
 def iter_slk_blocks(k: int) -> Iterator[np.ndarray]:
-    """Stream SL^k as (n, 3, 3) blocks, one per first row, in lex order."""
+    """Stream SL^k as (n, 3, 3) blocks in lex order.  SL^k is closed under
+    transposition, so its rows are the det-1 column triples of the box."""
     _check_k(k, DEFAULT_GUARD)
-    for r1 in _box_triples(k):
-        block, _ = _row_block(r1, k)
-        if block.shape[0]:
-            yield block
+    for block in _det1_blocks([_box_triples(k)] * 3):
+        yield block.transpose(0, 2, 1)
 
 
-@lru_cache(maxsize=MATERIALIZE_MAX_K)
+@lru_cache(maxsize=MATERIALIZE_MAX_K, typed=True)
 def materialize_slk(k: int) -> np.ndarray:
     """SL^k as one read-only array; cached, limited to small radii."""
+    _check_k(k, DEFAULT_GUARD)
     if k > MATERIALIZE_MAX_K:
         raise BudgetExceeded(
             f"materialisation is limited to k <= {MATERIALIZE_MAX_K}; stream instead"
         )
-    _check_k(k, DEFAULT_GUARD)
     blocks = list(iter_slk_blocks(k))
     arr = np.concatenate(blocks) if blocks else np.empty((0, 3, 3), dtype=np.int64)
     arr.setflags(write=False)
@@ -190,12 +167,13 @@ def _require_unimodular(mu) -> np.ndarray:
 
 
 def count_slk(k: int) -> EnumerationStats:
-    """Count SL^k, reporting how many candidates the search examined."""
+    """Count SL^k, reporting how many triple products the search formed."""
     _check_k(k, DEFAULT_GUARD)
+    box = _box_triples(k)
     count = 0
     examined = 0
     for r1, size in _first_row_orbits(k):
-        r2, _, ex = _completions(r1, k)
-        count += size * r2.size
-        examined += ex
+        for _, _, mask in _unit_products([r1[None], box, box]):
+            count += size * int(np.count_nonzero(mask))
+            examined += mask.size
     return EnumerationStats(k=k, count=count, candidates_examined=examined)

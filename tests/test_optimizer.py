@@ -13,7 +13,7 @@ from lattrans.applications import bct_basis
 from lattrans.errors import BudgetExceeded, NotRightHanded, SingularMatrix
 from lattrans.matrix3 import adjugate, det, inverse
 from lattrans.metrics import StrainMetric, distance_to_identity, tie_tolerance
-from lattrans.unimodular import _box_triples, materialize_slk
+from lattrans.unimodular import _box_triples, _det1_blocks, materialize_slk
 
 from conftest import BAIN_MU0, BCC, FCC, TERE_F1, TERE_F2, TERE_MU, random_rotation
 
@@ -281,7 +281,7 @@ def test_search_steps_past_a_first_pass_without_triples():
     lower = optimizer._column_bounds(TERE_F1, g, 2.0, box)
     t0 = lower.min(axis=1).max()
     shells = [box[m] for m in lower <= t0 + tie_tolerance(t0)]
-    assert all(len(s) for s in shells) and not list(optimizer._det1_blocks(shells))
+    assert all(len(s) for s in shells) and not list(_det1_blocks(shells))
     rep = optimizer.solve(TERE_F1, g, DM2)
     assert rep.k_used == 3 and rep.certified
     _assert_matches_box(rep, TERE_F1, g, -2.0, 3)

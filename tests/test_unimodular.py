@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from lattrans import unimodular
+from lattrans import optimizer, unimodular
 from lattrans.errors import BudgetExceeded
 from lattrans.matrix3 import adjugate
+from lattrans.metrics import StrainMetric
 from lattrans.unimodular import _require_unimodular
 
-from conftest import BAIN_MU0
+from conftest import BAIN_MU0, BCC, FCC
 
 
 def _det_int(m):
@@ -139,31 +140,57 @@ def test_stats_fields():
     assert 0 < pruned.candidates_examined < 5**9
 
 
+def _first_row(r1, k):
+    """(completions of the first row r1 in SL^k, triple products formed)."""
+    box = unimodular._box_triples(k)
+    masks = [mask for _, _, mask in unimodular._unit_products([r1[None], box, box])]
+    return sum(int(np.count_nonzero(m)) for m in masks), sum(m.size for m in masks)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_every_first_row_completes_like_its_orbit_representative(k):
     # mu -> diag(1, 1, det P) mu P maps the completions of r1 onto those of
     # r1 P for every signed permutation P, so a first row has as many
-    # completions (and as many sweeps) as the sorted |r1|
+    # completions (and as many products) as the sorted |r1|
     orbits = list(unimodular._first_row_orbits(k))
     assert sum(size for _, size in orbits) == (2 * k + 1) ** 3
-    want = {}
-    for rep, _ in orbits:
-        block, examined = unimodular._row_block(rep, k)
-        want[tuple(rep.tolist())] = (block.shape[0], examined)
+    want = {tuple(rep.tolist()): _first_row(rep, k) for rep, _ in orbits}
     for r1 in unimodular._box_triples(k):
-        block, examined = unimodular._row_block(r1, k)
-        assert (block.shape[0], examined) == want[tuple(sorted(np.abs(r1).tolist()))], r1
+        assert _first_row(r1, k) == want[tuple(sorted(np.abs(r1).tolist()))], r1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_orbit_count_equals_sum_over_every_first_row(k):
-    total = sum(unimodular._row_block(r1, k)[0].shape[0] for r1 in unimodular._box_triples(k))
+    box = unimodular._box_triples(k)
+    total = sum(block.shape[0] for r1 in box
+                for block in unimodular._det1_blocks([r1[None], box, box]))
     assert unimodular.count_slk(k).count == total
 
 
 def test_count_examines_one_first_row_per_orbit():
-    # 20 representatives 0 <= a <= b <= c <= 3 instead of the 343 rows
+    # 20 representatives 0 <= a <= b <= c <= 3 instead of the 343 rows,
+    # each pairing its row with every (r2, r3) of the 7^3 box
     reps = [rep for rep, _ in unimodular._first_row_orbits(3)]
     assert len(reps) == 20
-    examined = sum(unimodular._row_block(rep, 3)[1] for rep in reps)
-    assert unimodular.count_slk(3).candidates_examined == examined
+    examined = sum(_first_row(rep, 3)[1] for rep in reps)
+    assert unimodular.count_slk(3).candidates_examined == examined == 20 * 7**6
+
+
+def test_single_pair_blocks(monkeypatch):
+    # one (a, b) pair per block, so blocks split every first vector's pairs
+    monkeypatch.setattr(unimodular, "_BLOCK", 1)
+    assert np.array_equal(np.concatenate(list(unimodular.iter_slk_blocks(1))),
+                          unimodular._naive_array(1))
+    assert unimodular.count_slk(2).count == 67704
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, "3", True])
+def test_radius_must_be_an_integer(k):
+    with pytest.raises(ValueError):
+        optimizer.solve(FCC, BCC, StrainMetric(1.0), k=k)
+    with pytest.raises(ValueError):
+        unimodular.count_slk(k)
+    with pytest.raises(ValueError):
+        list(unimodular.iter_slk_blocks(k))
+    with pytest.raises(ValueError):
+        unimodular.materialize_slk(k)
