@@ -129,8 +129,15 @@ def materialize_slk(k: int) -> np.ndarray:
         raise BudgetExceeded(
             f"materialisation is limited to k <= {MATERIALIZE_MAX_K}; stream instead"
         )
-    blocks = list(iter_slk_blocks(k))
-    arr = np.concatenate(blocks) if blocks else np.empty((0, 3, 3), dtype=np.int64)
+    # filled in place: a list of the stream's small blocks would leave its
+    # freed heap resident after the concatenation
+    arr = np.empty((count_slk(k).count, 3, 3), dtype=np.int64)
+    end = 0
+    for block in iter_slk_blocks(k):
+        arr[end : end + block.shape[0]] = block
+        end += block.shape[0]
+    if end != arr.shape[0]:
+        raise RuntimeError(f"the SL^{k} stream holds {end} matrices, its count {arr.shape[0]}")
     arr.setflags(write=False)
     return arr
 
