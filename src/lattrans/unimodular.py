@@ -87,11 +87,11 @@ def _unit_products(vectors):
     cs = np.ascontiguousarray(vectors[2].T, dtype=float)
     # a x b entrywise: (a_y b_z, a_z b_x, a_x b_y) - (a_z b_y, a_x b_z, a_y b_x)
     a1, a2, b1, b2 = a[:, [1, 2, 0]], a[:, [2, 0, 1]], b[:, [2, 0, 1]], b[:, [1, 2, 0]]
-    i, j = np.divmod(np.arange(a.shape[0] * b.shape[0]), b.shape[0])
+    pairs = a.shape[0] * b.shape[0]
     step = max(1, _BLOCK // max(1, cs.shape[1]))
-    for lo in range(0, i.size, step):
-        bi, bj = i[lo : lo + step], j[lo : lo + step]
-        yield bi, bj, (a1[bi] * b1[bj] - a2[bi] * b2[bj]) @ cs == 1.0
+    for lo in range(0, pairs, step):
+        i, j = np.divmod(np.arange(lo, min(lo + step, pairs)), b.shape[0])
+        yield i, j, (a1[i] * b1[j] - a2[i] * b2[j]) @ cs == 1.0
 
 
 def _det1_blocks(columns):
