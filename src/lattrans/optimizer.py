@@ -69,6 +69,7 @@ _REDUCE_ABOVE_K = 3
 #: Determinant-one matrices evaluated per batch (4.5 MB of transformations).
 _ROWS = 1 << 16
 
+
 @dataclass(frozen=True)
 class SearchBound:
     """Certified finite search radius for one problem.

@@ -5,14 +5,13 @@ in [-k, k]; SL^-k those whose inverses have entries in [-k, k].
 
 One kernel finds every determinant-one matrix: the determinant of the
 matrix with columns a, b, c is the triple product c . (a x b), so it forms
-a x b for each pair (a, b) of two vector sets, in lexicographic order,
-and tests every c of a third set with one matrix product per block of
-pairs: (2k+1)^6 products over the box instead of the naive (2k+1)^9
-tuples.  ``solve`` feeds it the column shells of its search.  SL^k is the
-case where every set is the whole (2k+1)^3 box; since SL^k is closed
-under transposition, the triples are read as rows, so the matrices come
-out in lexicographic order on the row-major entries, independent of the
-block size, and folds over the stream are reproducible.
+a x b once for each pair (a, b) of two vector sets, in lexicographic
+order, and tests every c of a third set with one matrix product per block
+of pairs.  ``solve`` feeds it the column shells of its search.  SL^k is
+the case where every set is the (2k+1)^3 box; since SL^k is closed under
+transposition, the triples are read as rows, so the matrices come out in
+lexicographic order on the row-major entries, independent of the block
+size, and folds over the stream are reproducible.
 
 Counting needs one first row per orbit of the signed column
 permutations.  For such a permutation P the map mu -> diag(1, 1, det P)
@@ -20,8 +19,9 @@ mu P keeps det = +1 and every entry in [-k, k], and it takes the
 completions (r2, r3) of the first row r1 one-to-one onto those of r1 P.
 Every row of an orbit therefore has as many completions as the orbit's
 representative 0 <= a <= b <= c <= k (20 rows instead of 343 at k = 3),
-and the count weighs each representative by its orbit size; its
-completions are the unit triple products r3 . (r1 x r2) over the box.
+and the count weighs each representative by its orbit size.  Its
+completions are the unit triple products r3 . (r1 x r2): (2k+1)^6 products
+per representative.
 """
 
 from __future__ import annotations
