@@ -161,9 +161,7 @@ def test_every_first_row_completes_like_its_orbit_representative(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_orbit_count_equals_sum_over_every_first_row(k):
-    box = unimodular._box_triples(k)
-    total = sum(block.shape[0] for r1 in box
-                for block in unimodular._det1_blocks([r1[None], box, box]))
+    total = sum(_first_row(r1, k)[0] for r1 in unimodular._box_triples(k))
     assert unimodular.count_slk(k).count == total
 
 
