@@ -427,14 +427,18 @@ def bct_region_scan(a_range: tuple = (0.7, 1.8), c_range: tuple = (0.7, 1.8),
     ``iterations`` > 0 re-anchors uncertified cells on already-certified
     ones, chaining the perturbation inequality through the certified
     cell's excited-state lower bound.  ValueError unless both ranges are
-    finite and positive with min <= max and the step is finite and positive.
+    finite and positive with min <= max, the step is finite and positive
+    and ``iterations`` is a non-negative integer (a bool is not).
     """
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be finite and positive, got {step!r}")
+    integral = isinstance(iterations, (int, np.integer)) and not isinstance(iterations, bool)
+    if not (integral and iterations >= 0):
+        raise ValueError(f"iterations must be a non-negative integer, got {iterations!r}")
     a_values = _grid("A", *a_range, step)
     c_values = _grid("C", *c_range, step)
     cells = [flags for a in a_values for flags in _cell_flags(a, c_values)]
-    for _ in range(max(0, int(iterations))):
+    for _ in range(iterations):
         cells = _refine_extended(cells)
     return RegionScanResult(a_values=a_values, c_values=c_values, flags=cells)
 

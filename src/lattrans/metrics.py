@@ -26,7 +26,10 @@ from .matrix3 import _require_invertible, as_matrix3, singular_values
 
 #: Two distances tie when |d1 - d2| <= TIE_REL_TOL * (1 + m_min).  Exact
 #: degeneracies land within machine epsilon of each other while genuine
-#: gaps in the problems of interest exceed 1e-2.
+#: gaps in the problems of interest exceed 1e-2.  The same band decides
+#: rotations: a lattice's point group is the tie band of distance zero,
+#: and two transformations share a stretch class when their Cauchy-Green
+#: tensors C1, C2 satisfy |C1 - C2|_F <= TIE_REL_TOL * (1 + |C1|_F).
 TIE_REL_TOL = 1e-9
 
 
@@ -37,7 +40,7 @@ class StrainMetric:
     r: float
 
     def __post_init__(self):
-        if not math.isfinite(self.r) or self.r == 0.0:
+        if isinstance(self.r, (bool, np.bool_)) or not math.isfinite(self.r) or self.r == 0.0:
             raise ValueError("the metric exponent r must be a nonzero finite real")
 
 

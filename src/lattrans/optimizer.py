@@ -52,11 +52,6 @@ from .matrix3 import (adjugate, as_matrix3, det, frobenius, inverse, is_singular
 from .metrics import StrainMetric, distance_to_identity, distance_to_identity_many, tie_tolerance
 from .unimodular import DEFAULT_GUARD, _box_triples, _check_k, _det1_blocks, _require_unimodular
 
-#: Two transformations share an equivalence class when their Cauchy-Green
-#: tensors agree to this relative tolerance (looser than the distance tie
-#: tolerance because stretches compound rounding through the square root).
-CLASS_REL_TOL = 1e-6
-
 #: Relative widening of the shell threshold that absorbs the rounding of
 #: the column bounds and of the evaluator (both near 1e-15 relative).
 _SLACK = 1e-9
@@ -185,8 +180,13 @@ def search_bound(f, g, metric: StrainMetric, hint_mus: Iterable | None = None) -
     distance below the default m0 = distance of G F^-1 to the identity
     shrinks the radius without losing any minimizer.
     """
-    f = _require_generator(f, "parent")
-    g = _require_generator(g, "product")
+    return _bound(_require_generator(f, "parent"), _require_generator(g, "product"),
+                  metric, hint_mus)
+
+
+def _bound(f: np.ndarray, g: np.ndarray, metric: StrainMetric,
+           hint_mus: Iterable | None) -> SearchBound:
+    """:func:`search_bound` of two generators that passed ``_require_generator``."""
     s = abs(metric.r)
     finv = inverse(f)
     m0 = distance_to_identity(g @ finv, metric)
@@ -367,7 +367,7 @@ def solve(f, g, metric: StrainMetric, *, k: int | None = None,
     g = _require_generator(g, "product")
     hints = None if hint_mus is None else list(hint_mus)
 
-    bound = search_bound(f, g, metric, hints)
+    bound = _bound(f, g, metric, hints)
     fs, gs, back = f, g, None
     reduced = None if k is not None else _reduce(f, g, metric, bound, hints)
     if reduced is not None:
@@ -400,10 +400,11 @@ def group_classes(transformations) -> list[StretchClass]:
     """Partition transformations into classes with equal stretch.
 
     Two transformations are equivalent (differ by a rotation) exactly
-    when their Cauchy-Green tensors H^T H agree; the comparison is
-    Frobenius with relative tolerance ``CLASS_REL_TOL``.  Each class carries the
-    symmetric stretch factor of its first member, and takes every later
-    transformation that matches no earlier class.
+    when their Cauchy-Green tensors H^T H are equal; C1 and C2 count as
+    equal when |C1 - C2|_F lies within ``tie_tolerance(|C1|_F)``, the
+    band that also decides distance ties and point groups.  Each class
+    carries the symmetric stretch factor of its first member, and takes
+    every later transformation within the band of that member.
     """
     hs = np.asarray(list(transformations), dtype=float)
     if hs.size and (hs.shape[1:] != (3, 3) or not np.isfinite(hs).all()):
@@ -415,7 +416,7 @@ def group_classes(transformations) -> list[StretchClass]:
     while free.any():
         idx = int(np.argmax(free))
         ref = grams[idx]
-        members = free & (frobenius(grams - ref) <= CLASS_REL_TOL * (1.0 + frobenius(ref)))
+        members = free & (frobenius(grams - ref) <= tie_tolerance(frobenius(ref)))
         free &= ~members
         classes.append(StretchClass(stretch=spd_power(ref, 0.5),
                                     principal_stretches=tuple(singular_values(hs[idx]).tolist()),
@@ -434,9 +435,11 @@ def _point_group(f: np.ndarray) -> np.ndarray:
 
     They are the distance-zero solutions of the problem F -> F, so the
     radius certified for it (m0 = 0) holds them all, and their columns
-    lie in the zero-width shells: |F u_j| = |f_j|.  Above radius 3 the
-    group of the reduced basis F U is taken when its radius is smaller,
-    and conjugated back as U U_red U^-1.
+    lie in the zero-width shells: |F u_j| = |f_j|.  The search runs at
+    r = 2, where the distance |K^T K - I|_F of K = F U F^-1 takes no
+    eigenvalues, and keeps the tie band of distance zero.  Above radius 3
+    the group of the reduced basis F U is taken when its radius is
+    smaller, and conjugated back as U U_red U^-1.
     """
     return _basis_point_group(np.asarray(f, dtype=float).tobytes())
 
@@ -444,15 +447,15 @@ def _point_group(f: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _basis_point_group(key: bytes) -> np.ndarray:
     f = np.frombuffer(key).reshape(3, 3)
-    metric = StrainMetric(1.0)
-    bound = search_bound(f, f, metric)
+    metric = StrainMetric(2.0)
+    bound = _bound(f, f, metric, None)
     u = None
     reduced = _reduce(f, f, metric, bound)
     if reduced is not None:
         f, _, u, _, bound = reduced
     _check_k(bound.k, DEFAULT_GUARD)
     box = _box_triples(bound.k)
-    shells = [box[m] for m in _column_bounds(f, f, 1.0, box) <= _SLACK]
+    shells = [box[m] for m in _column_bounds(f, f, metric.r, box) <= _SLACK]
     group = _fold_triples([shells], inverse(f), f, metric, _Fold()).mus
     if u is not None:
         group = u @ group @ adjugate(u)

@@ -142,22 +142,6 @@ def materialize_slk(k: int) -> np.ndarray:
     return arr
 
 
-def _naive_array(k: int) -> np.ndarray:
-    """Brute-force SL^k, lex order: filter det over the full entry box of
-    (2k+1)^9 tuples; the tests' oracle, for k <= 2 only."""
-    rng = np.arange(-k, k + 1, dtype=np.int64)
-    tail = np.meshgrid(*([rng] * 8), indexing="ij")
-    tail = np.stack(tail, axis=-1).reshape(-1, 8)
-    out = []
-    for first in rng:
-        rows = np.empty((tail.shape[0], 9), dtype=np.int64)
-        rows[:, 0] = first
-        rows[:, 1:] = tail
-        mats = rows.reshape(-1, 3, 3)
-        out.append(mats[det(mats) == 1])
-    return np.concatenate(out)
-
-
 def _require_unimodular(mu) -> np.ndarray:
     """``mu`` as an int64 (3, 3) array; ValueError unless it is an integer
     matrix (integral floats count) with determinant +1."""

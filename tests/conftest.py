@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
 from lattrans import applications
+from lattrans.matrix3 import adjugate, det, inverse
 from lattrans.unimodular import materialize_slk
 
 pytest_plugins = ["pytester"]
@@ -53,6 +56,48 @@ def sl1_squared_transform_norms():
     finv = np.rint(np.linalg.inv(FCC)).astype(np.int64)
     assert np.array_equal(finv @ FCC, np.eye(3))
     return ((materialize_slk(1) @ finv) ** 2).sum(axis=(1, 2))
+
+
+def naive_array(k: int) -> np.ndarray:
+    """Brute-force SL^k, lex order: filter det over the full entry box of
+    (2k+1)^9 tuples; the tests' oracle, for k <= 2 only."""
+    rng = np.arange(-k, k + 1, dtype=np.int64)
+    tail = np.meshgrid(*([rng] * 8), indexing="ij")
+    tail = np.stack(tail, axis=-1).reshape(-1, 8)
+    out = []
+    for first in rng:
+        rows = np.empty((tail.shape[0], 9), dtype=np.int64)
+        rows[:, 0] = first
+        rows[:, 1:] = tail
+        mats = rows.reshape(-1, 3, 3)
+        out.append(mats[det(mats) == 1])
+    return np.concatenate(out)
+
+
+def _box_mus(k, inverse_side):
+    box = materialize_slk(k)
+    return adjugate(box) if inverse_side else box
+
+
+# A radius-3 entry holds about 15 MB of singular values; four entries let
+# the r = 1 and r = 2 cases of one problem share theirs.
+@functools.lru_cache(maxsize=4)
+def _box_stretches(f_key, g_key, k, inverse_side):
+    f, g = (np.frombuffer(key).reshape(3, 3) for key in (f_key, g_key))
+    mus = _box_mus(k, inverse_side)
+    nu = np.linalg.svd((g @ mus.astype(float)) @ inverse(f), compute_uv=False)
+    nu.setflags(write=False)
+    return nu
+
+
+def box_distances(f, g, r, k):
+    """(mus, d): every mu of the radius-k box (every mu with mu^-1 in it,
+    at r < 0) and the distance of G mu F^-1 at r, from one batched SVD per
+    (F, G, k, side), cached."""
+    f, g = (np.asarray(m, dtype=float).tobytes() for m in (f, g))
+    nu = _box_stretches(f, g, k, r < 0)
+    return _box_mus(k, r < 0), np.sqrt(((nu**r - 1.0) ** 2).sum(axis=1))
+
 
 # Published primitive cells of the two Terephthalic Acid forms (angstrom,
 # three decimals) and the published optimal stretch factors.

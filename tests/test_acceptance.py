@@ -33,6 +33,8 @@ from conftest import (
     BAIN_MU0,
     BCC,
     FCC,
+    box_distances,
+    naive_array,
     random_rotation,
     random_well_conditioned,
     sl1_squared_transform_norms,
@@ -248,13 +250,11 @@ def test_criterion_6_property_suites():
         # oracle equivalence of the two enumerations
         for k in (1, 2):
             pruned = np.concatenate(list(unimodular.iter_slk_blocks(k)))
-            assert np.array_equal(pruned, unimodular._naive_array(k))
+            assert np.array_equal(pruned, naive_array(k))
 
         # the shell search equals one evaluation of the whole radius-3 box
         report = optimizer.solve(FCC, BCC, D1, k=3)
-        box = unimodular.materialize_slk(3)
-        nu = np.linalg.svd((BCC @ box.astype(float)) @ np.linalg.inv(FCC), compute_uv=False)
-        d = np.sqrt(((nu - 1.0) ** 2).sum(axis=1))
+        box, d = box_distances(FCC, BCC, D1.r, 3)
         inside = d <= d.min() + metrics.tie_tolerance(d.min())
         assert abs(report.m_min - d.min()) <= 1e-12
         assert {tuple(m.mu.ravel()) for m in report.minimizers} == {

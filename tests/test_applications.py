@@ -323,6 +323,12 @@ def test_region_grid_stops_at_its_maximum(lo, hi, step, count):
     assert points[0] == lo and points[-1] <= hi < points[-1] + step
 
 
+@pytest.mark.parametrize("iterations", [-1, 2.7, True, "1"])
+def test_region_scan_refuses_a_non_count_of_iterations(iterations):
+    with pytest.raises(ValueError, match="iterations must be a non-negative integer"):
+        app.bct_region_scan(a_range=(1.0, 1.005), c_range=(1.0, 1.005), iterations=iterations)
+
+
 def test_region_table_roundtrip():
     result = app.bct_region_scan(a_range=(0.9, 1.1), c_range=(0.9, 1.1), step=0.1)
     lines = result.table().strip().splitlines()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lattrans import cli
 
-from conftest import BCC, FCC
+from conftest import BCC, FCC, naive_array
 
 
 def run(argv, capsys):
@@ -218,6 +218,13 @@ def test_region_command(tmp_path, capsys):
     assert cells[("1", "1")] == ["1"] * 6
 
 
+def test_region_negative_iterations_exits_2(capsys):
+    code, out, err = run(["region", "--a-min", "1", "--a-max", "1.005", "--c-min", "1",
+                          "--c-max", "1.005", "--iterations", "-1"], capsys)
+    assert (code, out) == (2, "")
+    assert "iterations must be a non-negative integer" in err
+
+
 def test_solve_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run(
@@ -253,13 +260,11 @@ def test_count_sl_human(capsys):
 
 
 def test_count_sl_naive_agrees(capsys):
-    from lattrans.unimodular import _naive_array
-
     code, out_fast, _ = run(["count-sl", "--k", "2", "--format", "structured"], capsys)
     assert code == 0
     import json
 
-    assert json.loads(out_fast)["count"] == _naive_array(2).shape[0] == 67704
+    assert json.loads(out_fast)["count"] == naive_array(2).shape[0] == 67704
 
 
 def test_count_sl_budget(capsys):

@@ -24,6 +24,12 @@ def test_metric_rejects_zero_exponent():
         metrics.StrainMetric(0.0)
 
 
+@pytest.mark.parametrize("r", [True, np.True_], ids=["True", "np.True_"])
+def test_metric_rejects_a_bool_exponent(r):
+    with pytest.raises(ValueError, match="nonzero finite real"):
+        metrics.StrainMetric(r)
+
+
 def test_distance_to_self_is_zero():
     rng = np.random.default_rng(1)
     for r in (1.0, 2.0, -2.0, 0.5):

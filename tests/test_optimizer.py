@@ -15,7 +15,8 @@ from lattrans.matrix3 import adjugate, det, inverse
 from lattrans.metrics import StrainMetric, distance_to_identity, tie_tolerance
 from lattrans.unimodular import _box_triples, _det1_blocks, materialize_slk
 
-from conftest import BAIN_MU0, BCC, FCC, TERE_F1, TERE_F2, TERE_MU, random_rotation
+from conftest import (BAIN_MU0, BCC, FCC, TERE_F1, TERE_F2, TERE_MU, box_distances,
+                      random_rotation)
 
 D1 = StrainMetric(1.0)
 D2 = StrainMetric(2.0)
@@ -181,10 +182,7 @@ def test_left_rotation_equivariance():
 def _assert_matches_box(rep, f, g, r, k):
     """m_min, minimizer set and m_second equal one batched-SVD evaluation
     of the whole radius-k box."""
-    box = materialize_slk(k)
-    mus = adjugate(box) if r < 0 else box
-    nu = np.linalg.svd((g @ mus.astype(float)) @ inverse(f), compute_uv=False)
-    d = np.sqrt(((nu**r - 1.0) ** 2).sum(axis=1))
+    mus, d = box_distances(f, g, r, k)
     m_min = d.min()
     inside = d <= m_min + tie_tolerance(m_min)
     assert rep.m_min == pytest.approx(m_min, abs=1e-12)
@@ -354,6 +352,24 @@ def test_group_classes_rotated_copies_collapse():
     hs = [random_rotation(rng) @ h for _ in range(5)] + [np.diag([0.8, 1.0, 1.2])]
     classes = optimizer.group_classes(hs)
     assert sorted(len(c.members) for c in classes) == [1, 5]
+
+
+def test_group_classes_split_grams_apart_by_more_than_the_tie_band():
+    # the Gram matrices differ by 1e-7 relative, 100 tie bands apart
+    h = np.diag([1.2, 1.0, 0.8])
+    classes = optimizer.group_classes([h, h @ np.diag([1.0 + 1e-7, 1.0, 1.0])])
+    assert [c.members for c in classes] == [[0], [1]]
+
+
+def test_cold_point_group_takes_no_eigenvalues(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    misses = optimizer._basis_point_group.cache_info().misses
+    group = optimizer._point_group(1.25 * FCC)
+    assert optimizer._basis_point_group.cache_info().misses == misses + 1
+    assert len(group) == 24
 
 
 def test_orbit_of_identity_is_point_group():

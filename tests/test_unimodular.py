@@ -7,7 +7,7 @@ from lattrans.matrix3 import adjugate
 from lattrans.metrics import StrainMetric
 from lattrans.unimodular import _require_unimodular
 
-from conftest import BAIN_MU0, BCC, FCC
+from conftest import BAIN_MU0, BCC, FCC, naive_array
 
 
 def _det_int(m):
@@ -28,13 +28,13 @@ def test_count_radius_two():
 
 def test_pruned_equals_naive_radius_one():
     pruned = np.concatenate(list(unimodular.iter_slk_blocks(1)))
-    naive = unimodular._naive_array(1)
+    naive = naive_array(1)
     assert np.array_equal(pruned, naive)
 
 
 def test_pruned_equals_naive_radius_two():
     pruned = np.concatenate(list(unimodular.iter_slk_blocks(2)))
-    naive = unimodular._naive_array(2)
+    naive = naive_array(2)
     assert np.array_equal(pruned, naive)
 
 
@@ -136,7 +136,7 @@ def test_materialize_cache_and_guard():
 
 def test_stats_fields():
     pruned = unimodular.count_slk(2)
-    assert (pruned.k, pruned.count) == (2, unimodular._naive_array(2).shape[0]) == (2, 67704)
+    assert (pruned.k, pruned.count) == (2, naive_array(2).shape[0]) == (2, 67704)
     assert 0 < pruned.candidates_examined < 5**9
 
 
@@ -178,7 +178,7 @@ def test_single_pair_blocks(monkeypatch):
     # one (a, b) pair per block, so blocks split every first vector's pairs
     monkeypatch.setattr(unimodular, "_BLOCK", 1)
     assert np.array_equal(np.concatenate(list(unimodular.iter_slk_blocks(1))),
-                          unimodular._naive_array(1))
+                          naive_array(1))
     assert unimodular.count_slk(2).count == 67704
 
 
