@@ -10,7 +10,7 @@ are found by the search itself (see ``optimizer``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, radians, sin, sqrt
+from math import cos, inf, radians, sin, sqrt
 
 import numpy as np
 
@@ -62,8 +62,8 @@ class TriclinicParams:
     gamma: float
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c) <= 0.0:
-            raise ValueError("cell lengths must be positive")
+        if not all(0.0 < x < inf for x in (self.a, self.b, self.c)):
+            raise ValueError("cell lengths must be positive and finite")
         for name in ("alpha", "beta", "gamma"):
             angle = getattr(self, name)
             if not 0.0 < angle < 180.0:

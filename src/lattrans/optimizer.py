@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -180,21 +180,22 @@ def search_bound(f, g, metric: StrainMetric, hint_mus: Iterable | None = None) -
     distance below the default m0 = distance of G F^-1 to the identity
     shrinks the radius without losing any minimizer.
     """
-    return _bound(_require_generator(f, "parent"), _require_generator(g, "product"),
-                  metric, hint_mus)
+    f = _require_generator(f, "parent")
+    g = _require_generator(g, "product")
+    hints = [] if hint_mus is None else [_require_unimodular(mu) for mu in hint_mus]
+    return _bound(f, g, metric, hints)
 
 
 def _bound(f: np.ndarray, g: np.ndarray, metric: StrainMetric,
-           hint_mus: Iterable | None) -> SearchBound:
-    """:func:`search_bound` of two generators that passed ``_require_generator``."""
+           hints: list[np.ndarray]) -> SearchBound:
+    """:func:`search_bound` of two generators that passed ``_require_generator``
+    and of hints that passed ``_require_unimodular``."""
     s = abs(metric.r)
     finv = inverse(f)
     m0 = distance_to_identity(g @ finv, metric)
     m0_eff = m0
-    if hint_mus is not None:
-        for mu in hint_mus:
-            mu = _require_unimodular(mu)
-            m0_eff = min(m0_eff, distance_to_identity(g @ mu.astype(float) @ finv, metric))
+    for mu in hints:
+        m0_eff = min(m0_eff, distance_to_identity(g @ mu.astype(float) @ finv, metric))
     a, b, side = (f, g, "direct") if metric.r > 0 else (g, f, "inverse")
     col_max = float(np.sqrt((a * a).sum(axis=0)).max())
     with np.errstate(over="ignore"):  # a power past the float range is an unbounded radius
@@ -254,9 +255,9 @@ def _fold_triples(products, finv, g, metric: StrainMetric, fold: _Fold) -> _Fold
     return fold
 
 
-def _shell_search(f, g, metric: StrainMetric, k: int) -> _Fold:
-    """Fold over every matrix mu of the entry box within reach of the
-    threshold, for the direct problem F -> G at r > 0.
+def _shell_passes(f, g, metric: StrainMetric, k: int) -> Iterator[_Fold]:
+    """Folds over every matrix mu of the entry box within reach of the
+    threshold, for the direct problem F -> G at r > 0, one after each pass.
 
     A column whose lower bound exceeds the threshold t cannot belong to a
     matrix at distance t or less.  The search starts at the largest
@@ -265,9 +266,10 @@ def _shell_search(f, g, metric: StrainMetric, k: int) -> _Fold:
     admitted column (new x in x in, old x new x in, old x old x new), so
     no triple is evaluated twice.  m_second is exact once some evaluated
     distance above the tie band is in reach, or once the shells hold the
-    whole box.  Between passes t moves to the least evaluated distance
-    above the band, or to m_min while that is out of reach; with nothing
-    found yet it grows by (1 + t)/2, and at least to the next column bound.
+    whole box; the last fold is the search's answer.  Between passes t
+    moves to the least evaluated distance above the band, or to m_min
+    while that is out of reach; with nothing found yet it grows by
+    (1 + t)/2, and at least to the next column bound.
     """
     box = _box_triples(k)
     lower = _column_bounds(g, f, metric.r, box)
@@ -283,8 +285,9 @@ def _shell_search(f, g, metric: StrainMetric, k: int) -> _Fold:
                  (old[0], old[1], new[2]))
         products = [[box[m] for m in p] for p in parts if all(m.any() for m in p)]
         fold = _fold_triples(products, finv, g, metric, fold)
+        yield fold
         if fold.m_second <= reach or inside.all():
-            return fold
+            return
         old = inside
         if reach < fold.m_min < math.inf:
             t = fold.m_min
@@ -320,20 +323,26 @@ def _lll(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f @ u, u
 
 
-def _reduce(f, g, metric: StrainMetric, bound: SearchBound, hints=None):
-    """The problem on the LLL-reduced bases, as (F U, G V, U, V, its
-    bound), when ``bound.k`` exceeds ``_REDUCE_ABOVE_K`` and the reduced
-    radius is smaller; else None.  Each hint mu becomes V^-1 mu U, which
-    has the same transformation.
+def _problem(f, g, metric: StrainMetric, hints: list[np.ndarray], k: int | None, guard: int):
+    """The problem to search, as (F, G, bound, k_used, back).
+
+    Unless ``k`` is forced, a certified radius above ``_REDUCE_ABOVE_K``
+    moves the search to the LLL-reduced bases F U, G V when their radius
+    is smaller; each hint mu becomes V^-1 mu U, which has the same
+    transformation, and ``back`` = (V, U^-1) maps their minimizers back
+    as V mu U^-1.  ``back`` is None when the caller's bases are kept.
     """
-    if bound.k <= _REDUCE_ABOVE_K:
-        return None
-    fr, u = _lll(f)
-    gr, v = _lll(g)
-    if hints is not None:
-        hints = [adjugate(v) @ _require_unimodular(mu) @ u for mu in hints]
-    reduced = search_bound(fr, gr, metric, hints)
-    return (fr, gr, u, v, reduced) if reduced.k < bound.k else None
+    bound = _bound(f, g, metric, hints)
+    back = None
+    if k is None and bound.k > _REDUCE_ABOVE_K:
+        fr, u = _lll(f)
+        gr, v = _lll(g)
+        hints = [adjugate(v) @ mu @ u for mu in hints]
+        reduced = _bound(_require_generator(fr, "parent"), _require_generator(gr, "product"),
+                         metric, hints)
+        if reduced.k < bound.k:
+            f, g, bound, back = fr, gr, reduced, (v, adjugate(u))
+    return f, g, bound, _check_k(bound.k if k is None else k, guard), back
 
 
 def _lex_unique(mus: np.ndarray) -> np.ndarray:
@@ -365,20 +374,12 @@ def solve(f, g, metric: StrainMetric, *, k: int | None = None,
     """
     f = _require_generator(f, "parent")
     g = _require_generator(g, "product")
-    hints = None if hint_mus is None else list(hint_mus)
+    hints = [] if hint_mus is None else [_require_unimodular(mu) for mu in hint_mus]
 
-    bound = _bound(f, g, metric, hints)
-    fs, gs, back = f, g, None
-    reduced = None if k is not None else _reduce(f, g, metric, bound, hints)
-    if reduced is not None:
-        fs, gs, u, v, bound = reduced
-        back = (v, adjugate(u))
-    k_used = _check_k(bound.k if k is None else k, guard)
+    fs, gs, bound, k_used, back = _problem(f, g, metric, hints, k, guard)
     certified = k_used >= bound.k
     a, b = (fs, gs) if metric.r > 0 else (gs, fs)
-    fold = _shell_search(a, b, StrainMetric(abs(metric.r)), k_used)
-    if fold.count == 0:
-        raise RuntimeError("candidate enumeration produced no matrices")
+    *_, fold = _shell_passes(a, b, StrainMetric(abs(metric.r)), k_used)
 
     mus = fold.mus if metric.r > 0 else adjugate(fold.mus)
     hs = (gs @ mus.astype(float)) @ inverse(fs)
@@ -433,13 +434,15 @@ def _point_group(f: np.ndarray) -> np.ndarray:
     as a read-only array in lexicographic order, cached per basis (keyed
     on its float64 bytes).
 
-    They are the distance-zero solutions of the problem F -> F, so the
-    radius certified for it (m0 = 0) holds them all, and their columns
-    lie in the zero-width shells: |F u_j| = |f_j|.  The search runs at
-    r = 2, where the distance |K^T K - I|_F of K = F U F^-1 takes no
-    eigenvalues, and keeps the tie band of distance zero.  Above radius 3
-    the group of the reduced basis F U is taken when its radius is
-    smaller, and conjugated back as U U_red U^-1.
+    They are the distance-zero solutions of the problem F -> F, found by
+    :func:`solve`'s own set-up and shell search at r = 2, where the
+    distance |K^T K - I|_F of K = F U F^-1 takes no eigenvalues.  The
+    radius certified for F -> F (m0 = 0) holds them all, and the first
+    threshold pass starts at t = 0, so its shells hold the columns with
+    |F u_j| = |f_j| to within rounding and its fold keeps the tie band
+    of distance zero.  Above radius 3 the group of the reduced basis F U
+    is taken when its radius is smaller, and conjugated back as
+    U U_red U^-1.
     """
     return _basis_point_group(np.asarray(f, dtype=float).tobytes())
 
@@ -448,17 +451,9 @@ def _point_group(f: np.ndarray) -> np.ndarray:
 def _basis_point_group(key: bytes) -> np.ndarray:
     f = np.frombuffer(key).reshape(3, 3)
     metric = StrainMetric(2.0)
-    bound = _bound(f, f, metric, None)
-    u = None
-    reduced = _reduce(f, f, metric, bound)
-    if reduced is not None:
-        f, _, u, _, bound = reduced
-    _check_k(bound.k, DEFAULT_GUARD)
-    box = _box_triples(bound.k)
-    shells = [box[m] for m in _column_bounds(f, f, metric.r, box) <= _SLACK]
-    group = _fold_triples([shells], inverse(f), f, metric, _Fold()).mus
-    if u is not None:
-        group = u @ group @ adjugate(u)
+    f, _, _, k_used, back = _problem(f, f, metric, [], None, DEFAULT_GUARD)
+    group = next(_shell_passes(f, f, metric, k_used)).mus
+    group = group if back is None else back[0] @ group @ back[1]
     group = group[_lex_unique(group)]
     group.setflags(write=False)
     return group

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattrans import cli
+from lattrans import applications, cli, optimizer
+from lattrans.lattice import triclinic_to_primitive
 
 from conftest import BCC, FCC, naive_array
 
@@ -87,6 +88,28 @@ def test_solve_structured_roundtrip(capsys):
     )
     assert code2 == 0
     assert out2 == out
+
+
+def _sheared_terephthalic_ii():
+    shear = np.eye(3)
+    shear[1, 2] = 1.0
+    product = triclinic_to_primitive(applications.TEREPHTHALIC_II) @ shear
+    return " ".join(repr(float(v)) for v in product.ravel())
+
+
+@pytest.mark.parametrize("parent, product, r", [
+    ("fcc", "bcc", "1"),
+    # Terephthalic I -> II (I + e2 e3^T) at r = -2 takes four threshold passes
+    ("7.730,6.443,3.749,92.75,109.15,95.95", _sheared_terephthalic_ii(), "-2"),
+], ids=["fcc-bcc", "terephthalic-sheared"])
+def test_evaluating_every_block_alone_keeps_the_document(parent, product, r, capsys,
+                                                          monkeypatch):
+    argv = ["solve", parent, product, "--r", r, "--format", "structured"]
+    code, batched, _ = run(argv, capsys)
+    monkeypatch.setattr(optimizer, "_ROWS", 1)  # flush after every det-1 block
+    code_flushed, flushed, _ = run(argv, capsys)
+    assert code == code_flushed == 0
+    assert flushed == batched
 
 
 def test_solve_triclinic_terephthalic(capsys):

@@ -69,6 +69,15 @@ def test_triclinic_infeasible_angles():
         lattice.triclinic_to_primitive(lattice.TriclinicParams(1, 1, 1, 170.0, 10.0, 90.0))
 
 
+@pytest.mark.parametrize("length", [float("nan"), float("inf")])
+@pytest.mark.parametrize("i", range(3))
+def test_triclinic_params_refuse_non_finite_lengths(i, length):
+    lengths = [1.0, 1.0, 1.0]
+    lengths[i] = length
+    with pytest.raises(ValueError, match="finite"):
+        lattice.TriclinicParams(*lengths, 90.0, 90.0, 90.0)
+
+
 def _cell_parameters(basis):
     cols = [basis[:, j] for j in range(3)]
     lengths = [np.linalg.norm(c) for c in cols]

@@ -262,7 +262,7 @@ def test_shell_search_evaluates_each_triple_once(cell, r, monkeypatch):
     mus = searched if r > 0 else adjugate(searched)
     assert len(mus) == rep.candidates <= materialize_slk(rep.k_used).shape[0]
     assert len(np.unique(mus.reshape(-1, 9), axis=0)) == len(mus)
-    fold = optimizer._shell_search(a, b, StrainMetric(abs(r)), rep.k_used)
+    *_, fold = optimizer._shell_passes(a, b, StrainMetric(abs(r)), rep.k_used)
     assert len(optimizer._lex_unique(fold.mus)) == len(fold.mus) == len(rep.minimizers)
 
 
@@ -283,6 +283,25 @@ def test_search_steps_past_a_first_pass_without_triples():
     rep = optimizer.solve(TERE_F1, g, DM2)
     assert rep.k_used == 3 and rep.certified
     _assert_matches_box(rep, TERE_F1, g, -2.0, 3)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, -2.0])
+def test_hints_reach_the_reduced_bases(r):
+    # F U and G V with U = I + 3 e1 e2^T and V = I - 3 e3 e2^T type radius
+    # 94, 92 and 127, so both searches run on the LLL-reduced bases; the
+    # hint V^-1 mu0 U is the Bain correspondence in the typed bases
+    u = np.eye(3, dtype=np.int64)
+    u[0, 1] = 3
+    v = np.eye(3, dtype=np.int64)
+    v[2, 1] = -3
+    f, g, metric = FCC @ u, BCC @ v, StrainMetric(r)
+    assert optimizer.search_bound(f, g, metric).k > 90
+    plain = optimizer.solve(f, g, metric)
+    hinted = optimizer.solve(f, g, metric, hint_mus=[adjugate(v) @ BAIN_MU0 @ u])
+    assert hinted.certified and hinted.k_used < plain.k_used
+    assert hinted.m_min == plain.m_min
+    assert ({tuple(m.mu.ravel()) for m in hinted.minimizers}
+            == {tuple(m.mu.ravel()) for m in plain.minimizers})
 
 
 def test_sheared_product_basis_within_default_guard():
