@@ -111,12 +111,28 @@ def test_identity_distance_consistent_with_pair_distance():
 
 def test_bulk_identity_distances_match_scalar():
     rng = np.random.default_rng(5)
-    hs = np.stack([random_well_conditioned(rng) for _ in range(200)])
-    for r in (1.0, 2.0, -2.0):
-        m = metrics.StrainMetric(r)
-        bulk = metrics.distance_to_identity_many(hs, m)
-        scalar = np.array([metrics.distance_to_identity(h, m) for h in hs])
-        assert (np.abs(bulk - scalar) <= 1e-12 * (1.0 + scalar)).all()
+    every = (1.0, 2.0, -2.0, -1.0, 0.5)
+    well = np.stack([random_well_conditioned(rng) for _ in range(200)])
+    # near-rotations Q (I + eps E): at r = 1 the rows below eps ~ 1e-2
+    # take the eigvalsh fallback, the others the invariant path
+    eps = np.logspace(-8.0, -1.0, 100)
+    near = np.stack([random_rotation(rng) @ (np.eye(3) + e * rng.normal(size=(3, 3)))
+                     for e in eps])
+    # singular values in [1e-2, 1e2]; only r = 1 and 2 avoid eigvalsh,
+    # whose Gram squares the condition number
+    wide = np.stack([random_rotation(rng) @ np.diag(10.0 ** rng.uniform(-2.0, 2.0, 3))
+                     @ random_rotation(rng) for _ in range(100)])
+    # |H|_F**2 = 4e154, where the r = 1 Newton polynomial overflows
+    huge = (random_rotation(rng) @ np.diag([2e77, 1e76, 1e70]))[None]
+    for hs, exponents in ((well, every), (near, every), (wide, (1.0, 2.0)), (huge, (1.0,))):
+        for r in exponents:
+            m = metrics.StrainMetric(r)
+            bulk = metrics.distance_to_identity_many(hs, m)
+            scalar = np.array([metrics.distance_to_identity(h, m) for h in hs])
+            assert (np.abs(bulk - scalar) <= 1e-12 * (1.0 + scalar)).all()
+    d1 = metrics.distance_to_identity_many(near, metrics.StrainMetric(1.0))
+    cancels = d1**2 < metrics._CANCEL * (near**2).sum(axis=(1, 2))
+    assert cancels.any() and not cancels.all()
 
 
 def _gram_power_reference(m, r):

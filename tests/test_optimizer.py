@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lattrans import optimizer
 from lattrans.applications import bct_basis
 from lattrans.errors import BudgetExceeded, NotRightHanded, SingularMatrix
+from lattrans.lattice import TriclinicParams, primitive_from_centred, triclinic_to_primitive
 from lattrans.matrix3 import adjugate, det, inverse
 from lattrans.metrics import StrainMetric, distance_to_identity, tie_tolerance
 from lattrans.unimodular import _box_triples, _det1_blocks, materialize_slk
@@ -391,6 +392,39 @@ def test_cold_point_group_takes_no_eigenvalues(monkeypatch):
     assert len(group) == 24
 
 
+@pytest.mark.parametrize("f, g, r, count", [
+    (FCC, BCC, 1.0, 72),
+    (BCC, FCC, -1.0, 72),
+    (TERE_F1, TERE_F2, 1.0, 1),
+    (FCC, bct_basis(1.1, 0.95), 1.0, 48),
+], ids=["fcc-bcc", "bcc-fcc-r-1", "terephthalic", "fcc-bct"])
+def test_unit_exponent_solve_takes_no_eigenvalues(monkeypatch, f, g, r, count):
+    # r = 1 distances come from the invariants of H, and r = -1 searches
+    # the reversed problem at r = 1
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    metric = StrainMetric(r)
+    rep = optimizer.solve(f, g, metric)
+    assert len(rep.minimizers) == count
+    scalar = distance_to_identity(rep.minimizers[0].h, metric)
+    assert abs(rep.m_min - scalar) <= tie_tolerance(rep.m_min)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+@pytest.mark.parametrize("cell", ["fcc-bcc", "terephthalic"])
+def test_reversed_problem_at_negated_exponent_gives_the_adjugates(cell, r):
+    # solve(G, F, -r) searches F -> G at r, so mu' = adj(mu) = mu^-1
+    f, g = CELLS[cell]
+    rep = optimizer.solve(f, g, StrainMetric(r))
+    rev = optimizer.solve(g, f, StrainMetric(-r))
+    assert (rev.m_min, rev.m_second) == (rep.m_min, rep.m_second)
+    assert {tuple(adjugate(m.mu).ravel()) for m in rev.minimizers} == {
+        tuple(m.mu.ravel()) for m in rep.minimizers
+    }
+
+
 def test_orbit_of_identity_is_point_group():
     orbit = optimizer.point_group_orbit(np.eye(3, dtype=np.int64), np.eye(3), np.eye(3))
     assert len(orbit.mus) == 24
@@ -464,6 +498,33 @@ def test_point_groups_of_two_bases_are_conjugate(f):
 def test_triclinic_rotation_group_is_trivial(cell):
     orbit = optimizer.point_group_orbit(I3, cell, cell)
     assert len(orbit.mus) == 1 and np.array_equal(orbit.mus[0], I3)
+
+
+# the 14 Bravais lattices: cell (a, b, c, alpha, beta, gamma), centring
+# and the order of the rotation group
+BRAVAIS = {
+    "aP": ((1.0, 1.3, 1.6, 80.0, 95.0, 105.0), "P", 1),
+    "mP": ((1.0, 1.3, 1.6, 90.0, 100.0, 90.0), "P", 2),
+    "mC": ((1.0, 1.3, 1.6, 90.0, 100.0, 90.0), "C", 2),
+    "oP": ((1.0, 1.3, 1.6, 90.0, 90.0, 90.0), "P", 4),
+    "oC": ((1.0, 1.3, 1.6, 90.0, 90.0, 90.0), "C", 4),
+    "oI": ((1.0, 1.3, 1.6, 90.0, 90.0, 90.0), "I", 4),
+    "oF": ((1.0, 1.3, 1.6, 90.0, 90.0, 90.0), "F", 4),
+    "tP": ((1.0, 1.0, 1.6, 90.0, 90.0, 90.0), "P", 8),
+    "tI": ((1.0, 1.0, 1.6, 90.0, 90.0, 90.0), "I", 8),
+    "hR": ((1.0, 1.0, 1.0, 75.0, 75.0, 75.0), "P", 6),
+    "hP": ((1.0, 1.0, 1.6, 90.0, 90.0, 120.0), "P", 12),
+    "cP": ((1.0, 1.0, 1.0, 90.0, 90.0, 90.0), "P", 24),
+    "cI": ((1.0, 1.0, 1.0, 90.0, 90.0, 90.0), "I", 24),
+    "cF": ((1.0, 1.0, 1.0, 90.0, 90.0, 90.0), "F", 24),
+}
+
+
+@pytest.mark.parametrize("name", BRAVAIS)
+def test_rotation_group_orders_of_the_bravais_lattices(name):
+    cell, centring, order = BRAVAIS[name]
+    f = primitive_from_centred(triclinic_to_primitive(TriclinicParams(*cell)), centring)
+    assert len(optimizer._point_group(f)) == order
 
 
 def _elementary_shear(i, j, s):
